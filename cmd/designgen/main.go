@@ -22,6 +22,7 @@ import (
 	"seqavf/internal/graph"
 	"seqavf/internal/netlist"
 	"seqavf/internal/obs"
+	"seqavf/internal/pavfio"
 	"seqavf/internal/uarch"
 	"seqavf/internal/workload"
 )
@@ -103,7 +104,7 @@ func run(reg *obs.Registry, seed uint64, fubs int, out, pavfPath string, stats b
 		return err
 	}
 	defer f.Close()
-	n, err := cliutil.WritePAVF(f, in)
+	n, err := pavfio.Write(f, in)
 	if err != nil {
 		return err
 	}

@@ -41,6 +41,7 @@ import (
 	"seqavf/internal/harden"
 	"seqavf/internal/netlist"
 	"seqavf/internal/obs"
+	"seqavf/internal/pavfio"
 	"seqavf/internal/sweep"
 )
 
@@ -180,16 +181,16 @@ func run(reg *obs.Registry, arts *cliutil.Artifacts, nlPath, pavfFile, dir, glob
 	if err != nil {
 		return err
 	}
-	var named []cliutil.NamedInputs
+	var named []pavfio.NamedInputs
 	if pavfFile != "" {
-		in, err := cliutil.ReadPAVF(pavfFile)
+		in, err := pavfio.ReadFile(pavfFile)
 		if err != nil {
 			return err
 		}
-		named = append(named, cliutil.NamedInputs{Name: pavfFile, Inputs: in})
+		named = append(named, pavfio.NamedInputs{Name: pavfFile, Inputs: in})
 	}
 	if dir != "" {
-		more, err := cliutil.ReadPAVFDir(dir, glob)
+		more, err := pavfio.ReadDir(dir, glob)
 		if err != nil {
 			return err
 		}

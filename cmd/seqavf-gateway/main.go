@@ -21,6 +21,7 @@
 //	POST /v1/designs     routed to the owner, replicated to the runner-up
 //	POST /v1/designs/{name}/edit  routed to the owner, replicated likewise
 //	POST /v1/sweep       routed to the design's owner
+//	POST /v1/sweep/intervals  routed to the design's owner
 //	POST /v1/harden      routed to the owner; multi-budget sweeps split
 //	                     across the top-2 candidates and merge
 //	GET  /v1/artifacts/{fingerprint}  routed by artifact fingerprint
@@ -39,14 +40,11 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"seqavf/cmd/internal/cliutil"
@@ -87,34 +85,10 @@ func main() {
 		Handler:           gw.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() {
-		fmt.Fprintf(os.Stderr, "seqavf-gateway: routing %d replica(s) on %s\n", len(replicas.URLs), *listen)
-		errc <- hs.ListenAndServe()
-	}()
-
-	err = nil
-	select {
-	case err = <-errc:
-		// Listener failed outright (bad address, port in use).
-	case <-ctx.Done():
-		stop()
-		fmt.Fprintln(os.Stderr, "seqavf-gateway: draining in-flight requests...")
-		dctx, cancel := context.WithTimeout(context.Background(), *drain)
-		err = hs.Shutdown(dctx)
-		cancel()
-		if err != nil {
-			err = errors.Join(fmt.Errorf("drain exceeded %v", *drain), hs.Close())
-		}
-		if ferr := ob.Finish(); err == nil {
-			err = ferr
-		}
-	}
-	if errors.Is(err, http.ErrServerClosed) {
-		err = nil
+	fmt.Fprintf(os.Stderr, "seqavf-gateway: routing %d replica(s) on %s\n", len(replicas.URLs), *listen)
+	err = cliutil.Serve("seqavf-gateway", hs, *drain, nil)
+	if ferr := ob.Finish(); err == nil {
+		err = ferr
 	}
 	cliutil.Exit("seqavf-gateway", err)
 }

@@ -48,14 +48,11 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"seqavf/cmd/internal/cliutil"
@@ -141,40 +138,15 @@ func main() {
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() {
-		fmt.Fprintf(os.Stderr, "seqavfd: serving %d design(s) on %s\n", len(srv.DesignNames()), *listen)
-		errc <- hs.ListenAndServe()
-	}()
-
-	err = nil
-	select {
-	case err = <-errc:
-		// Listener failed outright (bad address, port in use).
-	case <-ctx.Done():
-		stop()
-		fmt.Fprintln(os.Stderr, "seqavfd: draining in-flight sweeps...")
-		dctx, cancel := context.WithTimeout(context.Background(), *drain)
-		err = hs.Shutdown(dctx)
-		cancel()
-		if err != nil {
-			// Drain deadline exceeded: cancel the sweeps still running so
-			// their worker pools stop, then force-close connections.
-			srv.Abort()
-			err = errors.Join(fmt.Errorf("drain exceeded %v", *drain), hs.Close())
-		}
-		if ferr := ob.Finish(); err == nil {
-			err = ferr
-		}
-		if ob.Trace {
-			reg.WritePhaseSummary(os.Stderr)
-		}
+	fmt.Fprintf(os.Stderr, "seqavfd: serving %d design(s) on %s\n", len(srv.DesignNames()), *listen)
+	// A drain that overruns its deadline aborts the sweeps still running
+	// so their worker pools stop.
+	err = cliutil.Serve("seqavfd", hs, *drain, srv.Abort)
+	if ferr := ob.Finish(); err == nil {
+		err = ferr
 	}
-	if errors.Is(err, http.ErrServerClosed) {
-		err = nil
+	if ob.Trace {
+		reg.WritePhaseSummary(os.Stderr)
 	}
 	cliutil.Exit("seqavfd", err)
 }

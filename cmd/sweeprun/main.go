@@ -41,6 +41,7 @@ import (
 	"seqavf/internal/graph"
 	"seqavf/internal/netlist"
 	"seqavf/internal/obs"
+	"seqavf/internal/pavfio"
 	"seqavf/internal/sweep"
 )
 
@@ -169,19 +170,19 @@ func run(reg *obs.Registry, arts *cliutil.Artifacts, nlPath, dir, glob string, w
 	// -windows reads the same directory as interval tables; either way the
 	// solve below is primed with the first inputs seen.
 	var (
-		named []cliutil.NamedInputs
-		ivs   []cliutil.NamedIntervals
+		named []pavfio.NamedInputs
+		ivs   []pavfio.NamedIntervals
 		first *core.Inputs
 	)
 	if windows {
-		ivs, err = cliutil.ReadIntervalDir(dir, glob)
+		ivs, err = pavfio.ReadIntervalDir(dir, glob)
 		if err != nil {
 			return err
 		}
 		first = ivs[0].Table.Windows[0].Inputs
 		lsp.SetAttr("workloads", len(ivs))
 	} else {
-		named, err = cliutil.ReadPAVFDir(dir, glob)
+		named, err = pavfio.ReadDir(dir, glob)
 		if err != nil {
 			return err
 		}
@@ -266,7 +267,7 @@ func run(reg *obs.Registry, arts *cliutil.Artifacts, nlPath, dir, glob string, w
 // becomes one lane of a single blocked batch through the shared compiled
 // plan, and the report carries each workload's per-window time series
 // with its summary statistics.
-func runIntervals(ctx context.Context, eng *sweep.Engine, res *core.Result, design string, ivs []cliutil.NamedIntervals, nodes bool, effBlock int, out string) error {
+func runIntervals(ctx context.Context, eng *sweep.Engine, res *core.Result, design string, ivs []pavfio.NamedIntervals, nodes bool, effBlock int, out string) error {
 	ws := make([]sweep.IntervalWorkload, len(ivs))
 	for i, ni := range ivs {
 		iw := sweep.IntervalWorkload{Name: ni.Name}

@@ -18,6 +18,7 @@ import (
 
 	"seqavf/internal/core"
 	"seqavf/internal/fleet"
+	"seqavf/internal/httpx"
 	"seqavf/internal/obs"
 	"seqavf/internal/sweep"
 )
@@ -255,30 +256,23 @@ func (s *Store) fetchRemote(ctx context.Context, a *core.Analyzer, fp uint64) (*
 		client = &http.Client{Timeout: 5 * time.Second}
 	}
 	key := fmt.Sprintf("%016x", fp)
-	sp := obs.SpanFromContext(ctx)
 	for _, peer := range fleet.Rank(key, rem.Peers) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/artifacts/"+key, nil)
+		req, err := httpx.NewRequest(ctx, http.MethodGet, peer+"/v1/artifacts/"+key, "", nil)
 		if err != nil {
 			s.opts.Obs.Counter("artifact.remote_errors").Inc()
 			continue
-		}
-		if sp != nil && !sp.TraceID().IsZero() {
-			req.Header.Set("traceparent", obs.FormatTraceparent(sp.TraceID(), sp.SpanID()))
 		}
 		resp, err := client.Do(req)
 		if err != nil {
 			s.opts.Obs.Counter("artifact.remote_errors").Inc()
 			continue
 		}
-		if resp.StatusCode == http.StatusNotFound {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-			resp.Body.Close()
-			continue
-		}
 		if resp.StatusCode != http.StatusOK {
 			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 			resp.Body.Close()
-			s.opts.Obs.Counter("artifact.remote_errors").Inc()
+			if resp.StatusCode != http.StatusNotFound {
+				s.opts.Obs.Counter("artifact.remote_errors").Inc()
+			}
 			continue
 		}
 		data, err := io.ReadAll(io.LimitReader(resp.Body, maxRemoteArtifactBytes))

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"seqavf/internal/httpx"
 	"seqavf/internal/netlist"
 	"seqavf/internal/obs"
 )
@@ -44,14 +45,15 @@ type Config struct {
 }
 
 // Gateway fronts a fleet of seqavfd replicas: it consistent-hash routes
-// design traffic (sweeps, uploads, edits, artifact fetches) to the
-// owning replica, fails over with backoff when the owner is dead,
-// propagates W3C trace context so a request's span tree continues
-// inside the replica, and aggregates the fleet's Prometheus
-// expositions on its own /metrics.
+// design traffic (sweeps, interval sweeps, harden runs, uploads, edits,
+// artifact fetches) to the owning replica, fails over with backoff when
+// the owner is dead, propagates W3C trace context so a request's span
+// tree continues inside the replica, and aggregates the fleet's
+// Prometheus expositions on its own /metrics.
 type Gateway struct {
 	cfg    Config
 	reg    *obs.Registry
+	errs   *obs.Counter // gateway.errors
 	client *http.Client
 
 	mu   sync.Mutex
@@ -95,6 +97,7 @@ func New(cfg Config) (*Gateway, error) {
 	return &Gateway{
 		cfg:    cfg,
 		reg:    cfg.Obs,
+		errs:   cfg.Obs.Counter("gateway.errors"),
 		client: cfg.Client,
 		down:   make(map[string]time.Time),
 	}, nil
@@ -113,6 +116,7 @@ func (g *Gateway) Replicas() []string { return append([]string(nil), g.cfg.Repli
 //	                       then replicated to the runner-up candidate
 //	POST /v1/designs/{name}/edit — routed to the owner, then replicated
 //	POST /v1/sweep       — routed to the design's owner
+//	POST /v1/sweep/intervals — routed to the design's owner
 //	POST /v1/harden      — routed to the owner; multi-budget sweeps are
 //	                       split across the top-2 candidates and merged
 //	GET  /v1/artifacts/{fingerprint} — routed by artifact fingerprint
@@ -122,41 +126,13 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", g.handleMetrics)
 	mux.Handle("GET /metrics.json", g.reg.MetricsHandler())
 	mux.HandleFunc("GET /v1/designs", g.handleListDesigns)
-	mux.HandleFunc("POST /v1/designs", g.handleUpload)
-	mux.HandleFunc("POST /v1/designs/{name}/edit", g.handleEdit)
-	mux.HandleFunc("POST /v1/sweep", g.handleSweep)
-	mux.HandleFunc("POST /v1/harden", g.handleHarden)
+	mux.HandleFunc("POST /v1/designs", g.writeDesign("/v1/designs", g.reg.Counter("gateway.upload_requests")))
+	mux.HandleFunc("POST /v1/designs/{name}/edit", g.writeDesign("/v1/designs/{name}/edit", g.reg.Counter("gateway.edit_requests")))
+	mux.HandleFunc("POST /v1/sweep", g.routeByDesign("/v1/sweep", g.reg.Counter("gateway.sweep_requests")))
+	mux.HandleFunc("POST /v1/sweep/intervals", g.routeByDesign("/v1/sweep/intervals", g.reg.Counter("gateway.interval_requests")))
+	mux.HandleFunc("POST /v1/harden", g.routeByDesign("/v1/harden", g.reg.Counter("gateway.harden_requests")))
 	mux.HandleFunc("GET /v1/artifacts/{fingerprint}", g.handleArtifact)
 	return mux
-}
-
-// startRequest opens the gateway's request span, adopting an incoming
-// traceparent and echoing the assigned one, exactly like the replica
-// does — so client → gateway → replica is one trace.
-func (g *Gateway) startRequest(w http.ResponseWriter, r *http.Request, endpoint string) (*obs.Span, context.Context) {
-	ctx := r.Context()
-	if tid, pid, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
-		ctx = obs.ContextWithRemoteParent(ctx, tid, pid)
-	}
-	sp := g.reg.StartSpanContext(ctx, "gateway.request")
-	sp.SetAttr("endpoint", endpoint)
-	if tid := sp.TraceID(); !tid.IsZero() {
-		w.Header().Set("traceparent", obs.FormatTraceparent(tid, sp.SpanID()))
-	}
-	return sp, obs.ContextWithSpan(ctx, sp)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func (g *Gateway) writeErr(w http.ResponseWriter, status int, format string, args ...any) {
-	g.reg.Counter("gateway.errors").Inc()
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // healthy reports whether a replica is outside its quarantine window.
@@ -241,26 +217,11 @@ func (g *Gateway) forward(ctx context.Context, w http.ResponseWriter, key, metho
 			case <-time.After(g.cfg.Backoff):
 			case <-ctx.Done():
 				g.reg.Counter("gateway.proxy_errors").Inc()
-				g.writeErr(w, http.StatusBadGateway, "fleet: %v", ctx.Err())
+				httpx.WriteError(w, g.errs, http.StatusBadGateway, fmt.Errorf("fleet: %v", ctx.Err()))
 				return "", http.StatusBadGateway
 			}
 		}
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, replica+pathAndQuery, rd)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if contentType != "" {
-			req.Header.Set("Content-Type", contentType)
-		}
-		if sp != nil && !sp.TraceID().IsZero() {
-			req.Header.Set("traceparent", obs.FormatTraceparent(sp.TraceID(), sp.SpanID()))
-		}
-		resp, err := g.client.Do(req)
+		resp, err := g.do(ctx, method, replica+pathAndQuery, contentType, body)
 		if err != nil {
 			lastErr = err
 			g.reg.Counter("gateway.replica_errors").Inc()
@@ -292,95 +253,79 @@ func (g *Gateway) forward(ctx context.Context, w http.ResponseWriter, key, metho
 	}
 	g.reg.Counter("gateway.proxy_errors").Inc()
 	sp.SetAttr("error", fmt.Sprint(lastErr))
-	g.writeErr(w, http.StatusBadGateway, "fleet: no replica answered for key %q: %v", key, lastErr)
+	httpx.WriteError(w, g.errs, http.StatusBadGateway, fmt.Errorf("fleet: no replica answered for key %q: %v", key, lastErr))
 	return "", http.StatusBadGateway
 }
 
-// readBody buffers a routed request's body under the configured cap.
-func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			g.writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-		} else {
-			g.writeErr(w, http.StatusBadRequest, "reading body: %v", err)
-		}
-		return nil, false
-	}
-	return body, true
-}
-
-func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
-	g.reg.Counter("gateway.sweep_requests").Inc()
-	sp, ctx := g.startRequest(w, r, "/v1/sweep")
-	defer sp.End()
-	body, ok := g.readBody(w, r)
-	if !ok {
-		return
-	}
-	// Only the routing key is needed here; the owning replica re-decodes
-	// and fully validates the envelope.
-	var env struct {
-		Design string `json:"design"`
-	}
-	if err := json.Unmarshal(body, &env); err != nil {
-		g.writeErr(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	if env.Design == "" {
-		g.writeErr(w, http.StatusBadRequest, "request names no design to route by")
-		return
-	}
-	sp.SetAttr("design", env.Design)
-	g.forward(ctx, w, env.Design, http.MethodPost, "/v1/sweep", "application/json", body)
-}
-
-func (g *Gateway) handleUpload(w http.ResponseWriter, r *http.Request) {
-	g.reg.Counter("gateway.upload_requests").Inc()
-	sp, ctx := g.startRequest(w, r, "/v1/designs")
-	defer sp.End()
-	body, ok := g.readBody(w, r)
-	if !ok {
-		return
-	}
-	// The routing key is the name the design will register under: the
-	// ?name= override when present, else the netlist's own design name.
-	name := r.URL.Query().Get("name")
-	if name == "" {
-		d, err := netlist.Parse(bytes.NewReader(body))
+// routeByDesign returns the handler for a POST whose JSON envelope
+// names the design that routes it (/v1/sweep, /v1/sweep/intervals,
+// /v1/harden). Only the routing key — and, for harden, the budget list
+// the top-2 fan-out splits — is decoded here; the owning replica
+// re-decodes and fully validates the envelope.
+func (g *Gateway) routeByDesign(endpoint string, requests *obs.Counter) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		requests.Inc()
+		sp, ctx := httpx.StartSpan(g.reg, w, r, "gateway.request", endpoint)
+		defer sp.End()
+		body, err := httpx.ReadBody(httpx.Body(w, r, g.cfg.MaxBodyBytes))
 		if err != nil {
-			g.writeErr(w, http.StatusUnprocessableEntity, "parsing netlist to route upload: %v", err)
+			httpx.WriteError(w, g.errs, http.StatusBadRequest, err)
 			return
 		}
-		name = d.Name
-	}
-	sp.SetAttr("design", name)
-	path := "/v1/designs"
-	if q := r.URL.RawQuery; q != "" {
-		path += "?" + q
-	}
-	replica, status := g.forward(ctx, w, name, http.MethodPost, path, r.Header.Get("Content-Type"), body)
-	if status >= 200 && status < 300 {
-		g.replicateDesign(ctx, replica, name, r.Header.Get("Content-Type"), body)
+		var env struct {
+			Design  string    `json:"design"`
+			Budgets []float64 `json:"budgets"`
+		}
+		if err := json.Unmarshal(body, &env); err != nil {
+			httpx.WriteError(w, g.errs, http.StatusBadRequest, fmt.Errorf("decoding request: %v", err))
+			return
+		}
+		if env.Design == "" {
+			httpx.WriteError(w, g.errs, http.StatusBadRequest, errors.New("request names no design to route by"))
+			return
+		}
+		sp.SetAttr("design", env.Design)
+		if endpoint == "/v1/harden" && g.hardenFanout(ctx, w, env.Design, env.Budgets, body) {
+			return
+		}
+		g.forward(ctx, w, env.Design, http.MethodPost, endpoint, "application/json", body)
 	}
 }
 
-func (g *Gateway) handleEdit(w http.ResponseWriter, r *http.Request) {
-	g.reg.Counter("gateway.edit_requests").Inc()
-	name := r.PathValue("name")
-	sp, ctx := g.startRequest(w, r, "/v1/designs/{name}/edit")
-	defer sp.End()
-	sp.SetAttr("design", name)
-	body, ok := g.readBody(w, r)
-	if !ok {
-		return
-	}
-	replica, status := g.forward(ctx, w, name, http.MethodPost,
-		"/v1/designs/"+strings.ReplaceAll(name, "/", "%2F")+"/edit",
-		r.Header.Get("Content-Type"), body)
-	if status >= 200 && status < 300 {
-		g.replicateDesign(ctx, replica, name, r.Header.Get("Content-Type"), body)
+// writeDesign returns the handler for a design upload or edit. Both
+// bodies are full netlists: the write is routed to the design's owner,
+// then replicated to the runner-up candidate (replicateDesign).
+func (g *Gateway) writeDesign(endpoint string, requests *obs.Counter) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		requests.Inc()
+		sp, ctx := httpx.StartSpan(g.reg, w, r, "gateway.request", endpoint)
+		defer sp.End()
+		body, err := httpx.ReadBody(httpx.Body(w, r, g.cfg.MaxBodyBytes))
+		if err != nil {
+			httpx.WriteError(w, g.errs, http.StatusBadRequest, err)
+			return
+		}
+		// The routing key is the name the design registers under: the
+		// edit's path name, the upload's ?name= override, else the
+		// netlist's own design name.
+		name := r.PathValue("name")
+		if name == "" {
+			name = r.URL.Query().Get("name")
+		}
+		if name == "" {
+			d, err := netlist.Parse(bytes.NewReader(body))
+			if err != nil {
+				httpx.WriteError(w, g.errs, http.StatusUnprocessableEntity, fmt.Errorf("parsing netlist to route upload: %v", err))
+				return
+			}
+			name = d.Name
+		}
+		sp.SetAttr("design", name)
+		ct := r.Header.Get("Content-Type")
+		replica, status := g.forward(ctx, w, name, http.MethodPost, r.URL.RequestURI(), ct, body)
+		if status >= 200 && status < 300 {
+			g.replicateDesign(ctx, replica, name, ct, body)
+		}
 	}
 }
 
@@ -423,17 +368,7 @@ func (g *Gateway) replicateDesign(ctx context.Context, served, name, contentType
 // post issues an internal POST (replication traffic) and returns the
 // status code; the response body is drained and discarded.
 func (g *Gateway) post(ctx context.Context, url, contentType string, body []byte) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	if sp := obs.SpanFromContext(ctx); sp != nil && !sp.TraceID().IsZero() {
-		req.Header.Set("traceparent", obs.FormatTraceparent(sp.TraceID(), sp.SpanID()))
-	}
-	resp, err := g.client.Do(req)
+	resp, err := g.do(ctx, http.MethodPost, url, contentType, body)
 	if err != nil {
 		return 0, err
 	}
@@ -445,7 +380,7 @@ func (g *Gateway) post(ctx context.Context, url, contentType string, body []byte
 func (g *Gateway) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	g.reg.Counter("gateway.artifact_requests").Inc()
 	fp := r.PathValue("fingerprint")
-	sp, ctx := g.startRequest(w, r, "/v1/artifacts/{fingerprint}")
+	sp, ctx := httpx.StartSpan(g.reg, w, r, "gateway.request", "/v1/artifacts/{fingerprint}")
 	defer sp.End()
 	sp.SetAttr("fingerprint", fp)
 	g.forward(ctx, w, fp, http.MethodGet, "/v1/artifacts/"+fp, "", nil)
@@ -455,7 +390,7 @@ func (g *Gateway) handleArtifact(w http.ResponseWriter, r *http.Request) {
 // rendezvous routing each design registers on one owner, so the fleet's
 // catalog is the deduplicated union of the replicas' catalogs.
 func (g *Gateway) handleListDesigns(w http.ResponseWriter, r *http.Request) {
-	sp, ctx := g.startRequest(w, r, "/v1/designs")
+	sp, ctx := httpx.StartSpan(g.reg, w, r, "gateway.request", "/v1/designs")
 	defer sp.End()
 	type reply struct {
 		replica string
@@ -484,7 +419,7 @@ func (g *Gateway) handleListDesigns(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if errs == len(replies) {
-		g.writeErr(w, http.StatusBadGateway, "fleet: no replica answered /v1/designs")
+		httpx.WriteError(w, g.errs, http.StatusBadGateway, errors.New("fleet: no replica answered /v1/designs"))
 		return
 	}
 	names := make([]string, 0, len(seen))
@@ -496,7 +431,7 @@ func (g *Gateway) handleListDesigns(w http.ResponseWriter, r *http.Request) {
 	for i, n := range names {
 		out[i] = seen[n]
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpx.WriteJSON(w, http.StatusOK, out)
 }
 
 // ReplicaHealth is one replica's row in the gateway /healthz reply.
@@ -508,7 +443,8 @@ type ReplicaHealth struct {
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	_, ctx := g.startRequest(w, r, "/healthz")
+	sp, ctx := httpx.StartSpan(g.reg, w, r, "gateway.request", "/healthz")
+	defer sp.End()
 	rows := fanout(g, func(replica string) ReplicaHealth {
 		var hz struct {
 			Designs int `json:"designs"`
@@ -531,7 +467,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	case up < len(rows):
 		state = "degraded"
 	}
-	writeJSON(w, status, map[string]any{
+	httpx.WriteJSON(w, status, map[string]any{
 		"status":   state,
 		"replicas": rows,
 	})
@@ -543,7 +479,8 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // counted (gateway.scrape_errors) — a dead replica must not take the
 // fleet's dashboards down with it.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	_, ctx := g.startRequest(w, r, "/metrics")
+	sp, ctx := httpx.StartSpan(g.reg, w, r, "gateway.request", "/metrics")
+	defer sp.End()
 	pages := fanout(g, func(replica string) *Exposition {
 		data, err := g.get(ctx, replica+"/metrics")
 		if err != nil {
@@ -564,7 +501,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	merged, err := Merge(pages...)
 	if err != nil {
-		g.writeErr(w, http.StatusInternalServerError, "merging expositions: %v", err)
+		httpx.WriteError(w, g.errs, http.StatusInternalServerError, fmt.Errorf("merging expositions: %v", err))
 		return
 	}
 	w.Header().Set("Content-Type", obs.PromContentType)
@@ -593,11 +530,7 @@ func fanout[T any](g *Gateway, fn func(replica string) T) []T {
 
 // get fetches a URL through the gateway's client.
 func (g *Gateway) get(ctx context.Context, url string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := g.client.Do(req)
+	resp, err := g.do(ctx, http.MethodGet, url, "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -607,6 +540,16 @@ func (g *Gateway) get(ctx context.Context, url string) ([]byte, error) {
 		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
 	}
 	return io.ReadAll(io.LimitReader(resp.Body, maxExpositionBytes+1))
+}
+
+// do issues one request through the gateway's client, carrying ctx's
+// trace context.
+func (g *Gateway) do(ctx context.Context, method, url, contentType string, body []byte) (*http.Response, error) {
+	req, err := httpx.NewRequest(ctx, method, url, contentType, body)
+	if err != nil {
+		return nil, err
+	}
+	return g.client.Do(req)
 }
 
 // getJSON fetches and decodes a JSON endpoint.

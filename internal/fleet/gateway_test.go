@@ -320,3 +320,34 @@ func TestGatewayConfigValidation(t *testing.T) {
 		t.Fatal("duplicate replica accepted")
 	}
 }
+
+// TestGatewayScrapesEndTheirSpans: /healthz and /metrics open a
+// gateway.request span per scrape; each must end, or every scrape
+// leaves a root span running forever (and never reaches the sink).
+func TestGatewayScrapesEndTheirSpans(t *testing.T) {
+	_, gw := newTestFleet(t, 2)
+	h := gw.Handler()
+	const scrapes = 3
+	for i := 0; i < scrapes; i++ {
+		for _, path := range []string{"/healthz", "/metrics"} {
+			rr := httptest.NewRecorder()
+			h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
+			if rr.Code != http.StatusOK {
+				t.Fatalf("GET %s: status %d: %s", path, rr.Code, rr.Body)
+			}
+		}
+	}
+	roots := 0
+	for _, sp := range gw.reg.Snapshot().Spans {
+		if sp.Name != "gateway.request" {
+			continue
+		}
+		roots++
+		if sp.Running {
+			t.Errorf("gateway.request span for %v is still running", sp.Attrs["endpoint"])
+		}
+	}
+	if roots != 2*scrapes {
+		t.Fatalf("found %d gateway.request roots, want %d", roots, 2*scrapes)
+	}
+}

@@ -18,7 +18,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -26,52 +25,22 @@ import (
 	"net/http"
 	"sync"
 
+	"seqavf/internal/httpx"
 	"seqavf/internal/obs"
 )
 
-func (g *Gateway) handleHarden(w http.ResponseWriter, r *http.Request) {
-	g.reg.Counter("gateway.harden_requests").Inc()
-	sp, ctx := g.startRequest(w, r, "/v1/harden")
-	defer sp.End()
-	body, ok := g.readBody(w, r)
-	if !ok {
-		return
-	}
-	// Only the routing key and the budget list are needed here; the
-	// replicas re-decode and fully validate the envelope.
-	var env struct {
-		Design  string    `json:"design"`
-		Budgets []float64 `json:"budgets"`
-	}
-	if err := json.Unmarshal(body, &env); err != nil {
-		g.writeErr(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	if env.Design == "" {
-		g.writeErr(w, http.StatusBadRequest, "request names no design to route by")
-		return
-	}
-	sp.SetAttr("design", env.Design)
-	sp.SetAttr("budgets", len(env.Budgets))
-	if len(env.Budgets) >= 2 && len(g.cfg.Replicas) >= 2 {
-		if g.hardenFanout(ctx, w, env.Design, env.Budgets, body) {
-			sp.SetAttr("fanout", true)
-			return
-		}
-	}
-	g.forward(ctx, w, env.Design, http.MethodPost, "/v1/harden", "application/json", body)
-}
-
-// hardenFanout splits a budget sweep across the top-2 ranked replicas
-// and merges the plan arrays. Returns true when it wrote the response;
-// false means the caller should fall back to a single forward (the
-// fallback re-ranks, and any replica a sub-request found dead has been
-// quarantined to the tail by then). The merged response carries the
-// first half's metadata (sens_cache, top_terms, elapsed_ms) — both
-// halves answer them identically except for elapsed time.
+// hardenFanout splits a budget sweep (>= 2 budgets) across the top-2
+// ranked replicas and merges the plan arrays. Returns true when it wrote
+// the response; false means the caller should fall back to a single
+// forward (the fallback re-ranks, and any replica a sub-request found
+// dead has been quarantined to the tail by then). The merged response
+// carries the first half's metadata (sens_cache, top_terms, elapsed_ms)
+// — both halves answer them identically except for elapsed time.
 func (g *Gateway) hardenFanout(ctx context.Context, w http.ResponseWriter, design string, budgets []float64, body []byte) bool {
+	sp := obs.SpanFromContext(ctx)
+	sp.SetAttr("budgets", len(budgets))
 	ranked := g.rank(design)
-	if len(ranked) < 2 {
+	if len(budgets) < 2 || len(ranked) < 2 {
 		return false
 	}
 	var envelope map[string]json.RawMessage
@@ -108,7 +77,8 @@ func (g *Gateway) hardenFanout(ctx context.Context, w http.ResponseWriter, desig
 	merged["plans"] = all
 	g.reg.Counter("gateway.harden_fanout_total").Inc()
 	g.reg.Counter("gateway.route_total").Add(2)
-	writeJSON(w, http.StatusOK, merged)
+	sp.SetAttr("fanout", true)
+	httpx.WriteJSON(w, http.StatusOK, merged)
 	return true
 }
 
@@ -131,15 +101,7 @@ func (g *Gateway) hardenSub(ctx context.Context, replica string, envelope map[st
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, replica+"/v1/harden", bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if sp := obs.SpanFromContext(ctx); sp != nil && !sp.TraceID().IsZero() {
-		req.Header.Set("traceparent", obs.FormatTraceparent(sp.TraceID(), sp.SpanID()))
-	}
-	resp, err := g.client.Do(req)
+	resp, err := g.do(ctx, http.MethodPost, replica+"/v1/harden", "application/json", payload)
 	if err != nil {
 		g.reg.Counter("gateway.replica_errors").Inc()
 		g.markDown(replica)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"net/http"
 	"sync"
 	"time"
@@ -103,22 +102,10 @@ func (f *FlightRecorder) Snapshot() []RequestRecord {
 // Handler serves the ring as a JSON array (newest first) — the
 // /debug/requests endpoint. Safe on nil (serves []).
 func (f *FlightRecorder) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
+	return jsonGetHandler(func() any {
+		if recs := f.Snapshot(); recs != nil {
+			return recs
 		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if req.Method == http.MethodHead {
-			return
-		}
-		recs := f.Snapshot()
-		if recs == nil {
-			recs = []RequestRecord{}
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(recs)
+		return []RequestRecord{}
 	})
 }

@@ -17,6 +17,13 @@ import (
 // metric families piecemeal while writers are active, and carries an
 // explicit charset so proxies do not have to sniff.
 func (r *Registry) MetricsHandler() http.Handler {
+	return jsonGetHandler(func() any { return r.Snapshot() })
+}
+
+// jsonGetHandler serves body() as one indented JSON document per GET
+// (headers only on HEAD, 405 with Allow otherwise) — the shape every
+// read-only JSON endpoint of this package shares.
+func jsonGetHandler(body func() any) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet && req.Method != http.MethodHead {
 			w.Header().Set("Allow", "GET, HEAD")
@@ -27,10 +34,9 @@ func (r *Registry) MetricsHandler() http.Handler {
 		if req.Method == http.MethodHead {
 			return
 		}
-		snap := r.Snapshot()
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		// Headers are already out on error; nothing useful left to send.
-		_ = enc.Encode(snap)
+		_ = enc.Encode(body())
 	})
 }

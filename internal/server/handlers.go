@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"seqavf/internal/core"
+	"seqavf/internal/httpx"
 	"seqavf/internal/obs"
 	"seqavf/internal/pavfio"
 	"seqavf/internal/sweep"
@@ -91,11 +93,20 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /metrics.json", s.reg.MetricsHandler())
 	mux.Handle("GET /debug/requests", s.flight.Handler())
 	mux.HandleFunc("GET /v1/designs", s.handleListDesigns)
-	mux.HandleFunc("POST /v1/designs", s.handleUploadDesign)
-	mux.HandleFunc("POST /v1/designs/{name}/edit", s.handleEditDesign)
-	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	mux.HandleFunc("POST /v1/sweep/intervals", s.handleSweepIntervals)
-	mux.HandleFunc("POST /v1/harden", s.handleHarden)
+	for _, rt := range []route{
+		{endpoint: "/v1/designs", status: http.StatusCreated, work: "design upload", creates: true,
+			requests: s.reg.Counter("server.upload_requests"), decode: s.decodeUpload},
+		{endpoint: "/v1/designs/{name}/edit", work: "design edit",
+			requests: s.reg.Counter("server.edit_requests"), decode: s.decodeEdit},
+		{endpoint: "/v1/sweep", work: "sweep", requests: s.reg.Counter("server.sweep_requests"),
+			ok: s.reg.Counter("server.sweep_ok"), decode: s.decodeSweep},
+		{endpoint: "/v1/sweep/intervals", work: "interval sweep", requests: s.reg.Counter("sweep.interval_requests"),
+			ok: s.reg.Counter("server.interval_sweep_ok"), decode: s.decodeIntervals},
+		{endpoint: "/v1/harden", work: "harden sweep", requests: s.reg.Counter("harden.requests"),
+			ok: s.reg.Counter("harden.ok"), decode: s.decodeHarden},
+	} {
+		mux.HandleFunc("POST "+rt.endpoint, s.serve(rt))
+	}
 	mux.HandleFunc("GET /v1/artifacts/{fingerprint}", s.handleGetArtifact)
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -103,23 +114,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// startRequest opens the per-request root span: it adopts an incoming
-// W3C traceparent header (so a gateway's trace continues through this
-// process), echoes the assigned traceparent on the response, and
-// returns the span plus a context carrying it for downstream stages.
-func (s *Server) startRequest(w http.ResponseWriter, r *http.Request, endpoint string) (*obs.Span, context.Context) {
-	ctx := r.Context()
-	if tid, pid, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
-		ctx = obs.ContextWithRemoteParent(ctx, tid, pid)
-	}
-	sp := s.reg.StartSpanContext(ctx, "server.request")
-	sp.SetAttr("endpoint", endpoint)
-	if tid := sp.TraceID(); !tid.IsZero() {
-		w.Header().Set("traceparent", obs.FormatTraceparent(tid, sp.SpanID()))
-	}
-	return sp, obs.ContextWithSpan(ctx, sp)
 }
 
 // finishRequest closes the request span, observes the request latency,
@@ -148,12 +142,10 @@ func (s *Server) finishRequest(sp *obs.Span, start time.Time, rec obs.RequestRec
 			}
 		case "sweep.eval":
 			rec.EvalSeconds += d
-		default:
+		case "solve", "artifact.restore":
 			// Upload solves and restores count as the plan stage: they
 			// are the "how do I get evaluable closed forms" phase.
-			if c.Name() == "solve" || c.Name() == "artifact.restore" {
-				rec.PlanSeconds += d
-			}
+			rec.PlanSeconds += d
 		}
 	}
 	if rec.PlanSource == "" {
@@ -184,26 +176,11 @@ func (s *Server) logSlowRequest(sp *obs.Span, rec obs.RequestRecord) {
 	s.slowMu.Unlock()
 }
 
-// writeJSON encodes v with status code.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// writeErr emits the uniform {"error": ...} body.
-func (s *Server) writeErr(w http.ResponseWriter, status int, format string, args ...any) {
-	s.reg.Counter("server.errors").Inc()
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	n := len(s.designs)
 	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
 		"designs":   n,
 		"in_flight": len(s.sem),
@@ -215,108 +192,11 @@ func (s *Server) handleListDesigns(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	infos := make([]DesignInfo, 0, len(s.designs))
 	for _, d := range s.designs {
-		infos = append(infos, DesignInfo{Name: d.Name, Vertices: d.Vertices, SeqBits: d.SeqBits, Plan: d.Plan})
+		infos = append(infos, d.info())
 	}
 	s.mu.RUnlock()
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
-	writeJSON(w, http.StatusOK, infos)
-}
-
-// rejectBusy emits the backpressure response: 429 plus a Retry-After
-// hint, so saturated clients back off instead of queueing server-side.
-func (s *Server) rejectBusy(w http.ResponseWriter) {
-	s.reg.Counter("server.rejected_busy").Inc()
-	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter + time.Second - 1) / time.Second)))
-	writeJSON(w, http.StatusTooManyRequests, map[string]string{
-		"error": "server at concurrency limit, retry later",
-	})
-}
-
-func (s *Server) handleUploadDesign(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter("server.upload_requests").Inc()
-	rsp, ctx := s.startRequest(w, r, "/v1/designs")
-	start := time.Now()
-	rec := obs.RequestRecord{Endpoint: "/v1/designs", Status: http.StatusCreated, Outcome: "ok"}
-	defer func() { s.finishRequest(rsp, start, rec) }()
-	fail := func(write func(), status int, outcome string) {
-		rec.Status, rec.Outcome = status, outcome
-		write()
-	}
-	if !s.acquire() {
-		fail(func() { s.rejectBusy(w) }, http.StatusTooManyRequests, "busy")
-		return
-	}
-	defer s.release()
-	isp := rsp.Child("ingest")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	isp.End()
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		fail(func() { s.writeBodyErr(w, err) }, status, err.Error())
-		return
-	}
-	d, err := s.LoadNetlistContext(ctx, r.URL.Query().Get("name"), strings.NewReader(string(body)), core.DefaultOptions())
-	if err != nil {
-		fail(func() { s.writeErr(w, http.StatusUnprocessableEntity, "%v", err) },
-			http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	rec.Design = d.Name
-	rec.Fingerprint = fmt.Sprintf("%016x", d.Result.Analyzer.Fingerprint())
-	writeJSON(w, http.StatusCreated, DesignInfo{Name: d.Name, Vertices: d.Vertices, SeqBits: d.SeqBits, Plan: d.Plan})
-}
-
-// handleEditDesign applies an ECO to a registered design: the body is
-// the full edited netlist, the re-solve is seeded from the live design's
-// converged per-FUB state, and the registration is swapped atomically.
-// The response reports how much of the prior solve survived the edit.
-func (s *Server) handleEditDesign(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter("server.edit_requests").Inc()
-	name := r.PathValue("name")
-	rsp, ctx := s.startRequest(w, r, "/v1/designs/{name}/edit")
-	start := time.Now()
-	rec := obs.RequestRecord{Endpoint: "/v1/designs/{name}/edit", Design: name, Status: http.StatusOK, Outcome: "ok"}
-	defer func() { s.finishRequest(rsp, start, rec) }()
-	fail := func(write func(), status int, outcome string) {
-		rec.Status, rec.Outcome = status, outcome
-		write()
-	}
-	if !s.acquire() {
-		fail(func() { s.rejectBusy(w) }, http.StatusTooManyRequests, "busy")
-		return
-	}
-	defer s.release()
-	isp := rsp.Child("ingest")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	isp.End()
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		fail(func() { s.writeBodyErr(w, err) }, status, err.Error())
-		return
-	}
-	d, st, err := s.EditNetlistContext(ctx, name, strings.NewReader(string(body)), core.DefaultOptions())
-	if err != nil {
-		var unknown *UnknownDesignError
-		status := http.StatusUnprocessableEntity
-		if errors.As(err, &unknown) {
-			status = http.StatusNotFound
-		}
-		fail(func() { s.writeErr(w, status, "%v", err) }, status, err.Error())
-		return
-	}
-	rec.Fingerprint = fmt.Sprintf("%016x", d.Result.Analyzer.Fingerprint())
-	writeJSON(w, http.StatusOK, EditResponse{
-		DesignInfo:  DesignInfo{Name: d.Name, Vertices: d.Vertices, SeqBits: d.SeqBits, Plan: d.Plan},
-		Incremental: st,
-	})
+	httpx.WriteJSON(w, http.StatusOK, infos)
 }
 
 // handleGetArtifact serves raw .sart bytes by fingerprint — the fleet's
@@ -328,26 +208,26 @@ func (s *Server) handleGetArtifact(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("server.artifact_requests").Inc()
 	st := s.cfg.Artifacts
 	if st == nil {
-		s.writeErr(w, http.StatusNotFound, "artifact store not configured")
+		httpx.WriteError(w, s.errs, http.StatusNotFound, errors.New("artifact store not configured"))
 		return
 	}
 	key := r.PathValue("fingerprint")
 	if len(key) != 16 {
-		s.writeErr(w, http.StatusBadRequest, "fingerprint must be 16 hex digits")
+		httpx.WriteError(w, s.errs, http.StatusBadRequest, errors.New("fingerprint must be 16 hex digits"))
 		return
 	}
 	fp, err := strconv.ParseUint(key, 16, 64)
 	if err != nil || strings.ContainsAny(key, "ABCDEF+-") {
-		s.writeErr(w, http.StatusBadRequest, "fingerprint must be 16 lowercase hex digits")
+		httpx.WriteError(w, s.errs, http.StatusBadRequest, errors.New("fingerprint must be 16 lowercase hex digits"))
 		return
 	}
 	data, err := st.Raw(fp)
 	if errors.Is(err, fs.ErrNotExist) {
-		s.writeErr(w, http.StatusNotFound, "no artifact for fingerprint %s", key)
+		httpx.WriteError(w, s.errs, http.StatusNotFound, fmt.Errorf("no artifact for fingerprint %s", key))
 		return
 	}
 	if err != nil {
-		s.writeErr(w, http.StatusInternalServerError, "reading artifact: %v", err)
+		httpx.WriteError(w, s.errs, http.StatusInternalServerError, fmt.Errorf("reading artifact: %w", err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -356,116 +236,104 @@ func (s *Server) handleGetArtifact(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(data)
 }
 
-// writeBodyErr maps body-read failures: 413 for the size cap, 400 otherwise.
-func (s *Server) writeBodyErr(w http.ResponseWriter, err error) {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		s.writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-		return
+// decodeUpload reads a textual netlist; the solve and registration run
+// once admitted, under the design's own name or the ?name= override.
+func (s *Server) decodeUpload(r *http.Request, body io.Reader) (*call, error) {
+	nl, err := httpx.ReadBody(body)
+	if err != nil {
+		return nil, err
 	}
-	s.writeErr(w, http.StatusBadRequest, "reading body: %v", err)
+	name := r.URL.Query().Get("name")
+	return &call{run: func(ctx context.Context, _ *Design) (*Design, any, error) {
+		d, err := s.LoadNetlistContext(ctx, name, bytes.NewReader(nl), core.DefaultOptions())
+		if err != nil {
+			return nil, nil, err
+		}
+		return d, d.info(), nil
+	}}, nil
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter("server.sweep_requests").Inc()
-	rsp, rctx := s.startRequest(w, r, "/v1/sweep")
-	start := time.Now()
-	rec := obs.RequestRecord{Endpoint: "/v1/sweep", Status: http.StatusOK, Outcome: "ok"}
-	defer func() { s.finishRequest(rsp, start, rec) }()
-	fail := func(status int, format string, args ...any) {
-		rec.Status, rec.Outcome = status, fmt.Sprintf(format, args...)
-		s.writeErr(w, status, "%s", rec.Outcome)
+// decodeEdit reads the full edited netlist of an ECO. Once admitted,
+// the re-solve is seeded from the live design's converged per-FUB state
+// and the registration is swapped atomically; the response reports how
+// much of the prior solve survived the edit.
+func (s *Server) decodeEdit(r *http.Request, body io.Reader) (*call, error) {
+	nl, err := httpx.ReadBody(body)
+	if err != nil {
+		return nil, err
 	}
-
-	// Ingest stage: decode the envelope and run every pAVF table through
-	// the hardened parser — the ingestion choke-point where a NaN, an
-	// out-of-range value, or a duplicate record fails the request before
-	// anything reaches the long-lived engine.
-	isp := rsp.Child("ingest")
-	var req SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		isp.End()
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			rec.Status, rec.Outcome = http.StatusRequestEntityTooLarge, err.Error()
-			s.writeBodyErr(w, err)
-			return
+	return &call{design: r.PathValue("name"), run: func(ctx context.Context, d *Design) (*Design, any, error) {
+		nd, st, err := s.EditNetlistContext(ctx, d.Name, bytes.NewReader(nl), core.DefaultOptions())
+		if err != nil {
+			return nil, nil, err
 		}
-		fail(http.StatusBadRequest, "decoding request: %v", err)
-		return
+		return nd, EditResponse{DesignInfo: nd.info(), Incremental: st}, nil
+	}}, nil
+}
+
+// decodeStrict decodes one JSON envelope, refusing unknown fields.
+func decodeStrict(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("decoding request: %w", err)
 	}
-	rec.Design = req.Design
-	rec.Workloads = len(req.Workloads)
-	d := s.Design(req.Design)
-	if d == nil {
-		isp.End()
-		fail(http.StatusNotFound, "unknown design %q (see GET /v1/designs)", req.Design)
-		return
+	return nil
+}
+
+// workloadName names the i-th workload of a request that left it blank.
+func workloadName(name string, i int) string {
+	if name == "" {
+		return fmt.Sprintf("workload[%d]", i)
 	}
-	rec.Fingerprint = fmt.Sprintf("%016x", d.Result.Analyzer.Fingerprint())
-	if len(req.Workloads) == 0 {
-		isp.End()
-		fail(http.StatusBadRequest, "no workloads in request")
-		return
+	return name
+}
+
+// decodeSweep decodes a POST /v1/sweep envelope. Validation runs every
+// pAVF table through the hardened parser — the ingestion choke-point
+// where a NaN, an out-of-range value, or a duplicate record fails the
+// request before anything reaches the long-lived engine.
+func (s *Server) decodeSweep(_ *http.Request, body io.Reader) (*call, error) {
+	var req SweepRequest
+	if err := decodeStrict(body, &req); err != nil {
+		return nil, err
 	}
 	ws := make([]sweep.Workload, len(req.Workloads))
-	for i, rw := range req.Workloads {
-		name := rw.Name
-		if name == "" {
-			name = fmt.Sprintf("workload[%d]", i)
+	validate := func() error {
+		if len(ws) == 0 {
+			return httpx.Errorf(http.StatusBadRequest, "no workloads in request")
 		}
-		in, err := pavfio.Parse(name, strings.NewReader(rw.PAVF))
+		for i, rw := range req.Workloads {
+			name := workloadName(rw.Name, i)
+			in, err := pavfio.Parse(name, strings.NewReader(rw.PAVF))
+			if err != nil {
+				return fmt.Errorf("workload %q: %v", name, err)
+			}
+			ws[i] = sweep.Workload{Name: name, Inputs: in}
+		}
+		return nil
+	}
+	run := func(ctx context.Context, d *Design) (*Design, any, error) {
+		batch, err := s.eng.SweepContext(ctx, d.Result, ws)
 		if err != nil {
-			isp.End()
-			fail(http.StatusUnprocessableEntity, "workload %q: %v", name, err)
-			return
+			return nil, nil, err
 		}
-		ws[i] = sweep.Workload{Name: name, Inputs: in}
-	}
-	isp.SetAttr("workloads", len(ws))
-	isp.End()
-
-	if !s.acquire() {
-		rec.Status, rec.Outcome = http.StatusTooManyRequests, "busy"
-		s.rejectBusy(w)
-		return
-	}
-	defer s.release()
-
-	ctx, cancel := s.requestCtx(rctx)
-	defer cancel()
-	batch, err := s.eng.SweepContext(ctx, d.Result, ws)
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			fail(http.StatusServiceUnavailable, "sweep timed out after %v", s.cfg.RequestTimeout)
-		case errors.Is(err, context.Canceled):
-			// Client gone or server aborting a drain: the 503 only reaches
-			// a client that is still listening.
-			fail(http.StatusServiceUnavailable, "sweep cancelled: %v", err)
-		default:
-			fail(http.StatusUnprocessableEntity, "%v", err)
+		resp := SweepResponse{
+			Design:    d.Name,
+			Workloads: len(batch.Results),
+			Plan:      batch.Plan.Stats(),
+			ElapsedMS: float64(batch.Elapsed.Microseconds()) / 1e3,
+			PerSec:    batch.WorkloadsPerSec(),
+			Results:   make([]WorkloadResult, len(batch.Results)),
 		}
-		return
-	}
-
-	resp := SweepResponse{
-		Design:    d.Name,
-		Workloads: len(batch.Results),
-		Plan:      batch.Plan.Stats(),
-		ElapsedMS: float64(batch.Elapsed.Microseconds()) / 1e3,
-		PerSec:    batch.WorkloadsPerSec(),
-		Results:   make([]WorkloadResult, len(batch.Results)),
-	}
-	for i, res := range batch.Results {
-		wr := WorkloadResult{Name: batch.Names[i], Summary: res.Summarize()}
-		if req.Nodes {
-			wr.SeqAVF = res.SeqAVFByNode()
+		for i, res := range batch.Results {
+			wr := WorkloadResult{Name: batch.Names[i], Summary: res.Summarize()}
+			if req.Nodes {
+				wr.SeqAVF = res.SeqAVFByNode()
+			}
+			resp.Results[i] = wr
 		}
-		resp.Results[i] = wr
+		return d, resp, nil
 	}
-	s.reg.Counter("server.sweep_ok").Inc()
-	writeJSON(w, http.StatusOK, resp)
+	return &call{design: req.Design, workloads: len(ws), validate: validate, run: run}, nil
 }

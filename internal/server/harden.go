@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,153 +9,115 @@ import (
 	"time"
 
 	"seqavf/internal/harden"
+	"seqavf/internal/httpx"
 	"seqavf/internal/obs"
+	"seqavf/internal/pavf"
 	"seqavf/internal/pavfio"
 	"seqavf/internal/sweep"
 )
 
-// handleHarden serves POST /v1/harden: the selective-hardening
-// optimizer over one registered design. With workloads in the request,
-// node gains are computed on the mean AVF across them (one blocked
-// sweep); without, on the design's solved baseline result. Term
-// sensitivities (top_terms > 0) come from the artifact store's .sens
-// cache when one is configured, keyed by (fingerprint, env hash).
-func (s *Server) handleHarden(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter("harden.requests").Inc()
-	rsp, rctx := s.startRequest(w, r, "/v1/harden")
+// decodeHarden decodes POST /v1/harden, the selective-hardening
+// optimizer over one registered design. The strict request parser
+// rejects NaN/Inf/negative budgets and malformed cost tables with
+// field-level errors; validation then runs the workload pAVF tables
+// through the same hardened parser /v1/sweep uses.
+func (s *Server) decodeHarden(_ *http.Request, body io.Reader) (*call, error) {
 	start := time.Now()
-	rec := obs.RequestRecord{Endpoint: "/v1/harden", Status: http.StatusOK, Outcome: "ok"}
-	defer func() { s.finishRequest(rsp, start, rec) }()
-	fail := func(status int, format string, args ...any) {
-		rec.Status, rec.Outcome = status, fmt.Sprintf(format, args...)
-		s.writeErr(w, status, "%s", rec.Outcome)
-	}
-
-	// Ingest: the strict request parser rejects NaN/Inf/negative budgets
-	// and malformed cost tables with field-level errors; workload pAVF
-	// tables then run through the same hardened parser /v1/sweep uses.
-	isp := rsp.Child("ingest")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	raw, err := httpx.ReadBody(body)
 	if err != nil {
-		isp.End()
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			rec.Status, rec.Outcome = http.StatusRequestEntityTooLarge, err.Error()
-			s.writeBodyErr(w, err)
-			return
-		}
-		fail(http.StatusBadRequest, "reading body: %v", err)
-		return
+		return nil, err
 	}
-	req, err := harden.ParseRequest(body)
+	req, err := harden.ParseRequest(raw)
 	if err != nil {
-		isp.End()
-		fail(http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	rec.Design = req.Design
-	rec.Workloads = len(req.Workloads)
-	d := s.Design(req.Design)
-	if d == nil {
-		isp.End()
-		fail(http.StatusNotFound, "unknown design %q (see GET /v1/designs)", req.Design)
-		return
-	}
-	rec.Fingerprint = fmt.Sprintf("%016x", d.Result.Analyzer.Fingerprint())
 	ws := make([]sweep.Workload, len(req.Workloads))
-	names := make([]string, len(req.Workloads))
-	for i, rw := range req.Workloads {
-		in, err := pavfio.Parse(rw.Name, strings.NewReader(rw.PAVF))
-		if err != nil {
-			isp.End()
-			fail(http.StatusUnprocessableEntity, "workload %q: %v", rw.Name, err)
-			return
+	validate := func() error {
+		for i, rw := range req.Workloads {
+			in, err := pavfio.Parse(rw.Name, strings.NewReader(rw.PAVF))
+			if err != nil {
+				return fmt.Errorf("workload %q: %v", rw.Name, err)
+			}
+			ws[i] = sweep.Workload{Name: rw.Name, Inputs: in}
 		}
-		ws[i] = sweep.Workload{Name: rw.Name, Inputs: in}
-		names[i] = rw.Name
+		return nil
 	}
-	isp.SetAttr("workloads", len(ws))
-	isp.End()
-
-	if !s.acquire() {
-		rec.Status, rec.Outcome = http.StatusTooManyRequests, "busy"
-		s.rejectBusy(w)
-		return
+	run := func(ctx context.Context, d *Design) (*Design, any, error) {
+		resp, err := s.harden(ctx, d, req, ws)
+		if err != nil {
+			return nil, nil, err
+		}
+		resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1e3
+		return d, resp, nil
 	}
-	defer s.release()
+	return &call{design: req.Design, workloads: len(ws), validate: validate, run: run}, nil
+}
 
-	ctx, cancel := s.requestCtx(rctx)
-	defer cancel()
-
+// harden runs the optimizer. With workloads, node gains are computed on
+// the mean AVF across them (one blocked sweep); without, on the design's
+// solved baseline result. Term sensitivities (top_terms > 0) come from
+// the artifact store's .sens cache when one is configured, keyed by
+// (fingerprint, env hash).
+func (s *Server) harden(ctx context.Context, d *Design, req *harden.Request, ws []sweep.Workload) (*harden.Response, error) {
 	// The optimization substrate: the design's solved result, or — with
 	// workloads — a shallow copy carrying the mean AVF vector across them
 	// (gains are linear in AVF, so the mean-AVF plan minimizes the mean
 	// residual chip AVF over the workload set).
 	agg := d.Result
 	a := d.Result.Analyzer
-	env, err := a.CheckedEnv(d.Result.Inputs)
-	if err != nil {
-		fail(http.StatusInternalServerError, "design env: %v", err)
-		return
-	}
-	if len(ws) > 0 {
+	var (
+		env   pavf.Env
+		names []string
+	)
+	if len(ws) == 0 {
+		var err error
+		if env, err = a.CheckedEnv(d.Result.Inputs); err != nil {
+			return nil, httpx.Errorf(http.StatusInternalServerError, "design env: %v", err)
+		}
+	} else {
 		batch, err := s.eng.SweepContext(ctx, d.Result, ws)
 		if err != nil {
-			switch {
-			case errors.Is(err, context.DeadlineExceeded):
-				fail(http.StatusServiceUnavailable, "harden sweep timed out after %v", s.cfg.RequestTimeout)
-			case errors.Is(err, context.Canceled):
-				fail(http.StatusServiceUnavailable, "harden sweep cancelled: %v", err)
-			default:
-				fail(http.StatusUnprocessableEntity, "%v", err)
-			}
-			return
+			return nil, err
 		}
+		// Each result's Env is the checked environment its workload was
+		// evaluated at, so the mean env needs no rebuild.
 		mean := make([]float64, len(d.Result.AVF))
+		env = make(pavf.Env, len(batch.Results[0].Env))
 		for _, res := range batch.Results {
 			for v, x := range res.AVF {
 				mean[v] += x
 			}
-		}
-		envSum := make([]float64, len(env))
-		for _, wl := range ws {
-			wenv, err := a.CheckedEnv(wl.Inputs)
-			if err != nil {
-				fail(http.StatusUnprocessableEntity, "workload env: %v", err)
-				return
-			}
-			for t, x := range wenv {
-				envSum[t] += x
+			for t, x := range res.Env {
+				env[t] += x
 			}
 		}
 		n := float64(len(ws))
 		for v := range mean {
 			mean[v] /= n
 		}
-		for t := range envSum {
-			env[t] = envSum[t] / n
+		for t := range env {
+			env[t] /= n
 		}
 		cp := *d.Result
 		cp.AVF = mean
 		agg = &cp
+		names = batch.Names
 	}
 
 	model, err := harden.NewModel(agg, req.Costs)
 	if err != nil {
-		fail(http.StatusUnprocessableEntity, "%v", err)
-		return
+		return nil, err
 	}
-	osp := rsp.Child("harden.optimize")
+	osp := obs.SpanFromContext(ctx).Child("harden.optimize")
 	plans, err := model.Sweep(req.Budgets, req.Solver)
 	osp.SetAttr("budgets", len(req.Budgets))
 	osp.End()
 	s.reg.FixedHistogram("harden.optimize_seconds", obs.LatencyBuckets).Observe(osp.Duration().Seconds())
 	if err != nil {
-		fail(http.StatusUnprocessableEntity, "%v", err)
-		return
+		return nil, err
 	}
 
-	resp := harden.Response{
+	resp := &harden.Response{
 		Design:      d.Name,
 		Workloads:   names,
 		SeqBits:     model.SeqBits(),
@@ -170,8 +131,7 @@ func (s *Server) handleHarden(w http.ResponseWriter, r *http.Request) {
 		// plan comes from the engine's LRU, so a warm design pays nothing.
 		plan, err := s.eng.PlanContext(ctx, d.Result)
 		if err != nil {
-			fail(http.StatusUnprocessableEntity, "compiling plan: %v", err)
-			return
+			return nil, fmt.Errorf("compiling plan: %v", err)
 		}
 		var st harden.SensStore
 		if s.cfg.Artifacts != nil {
@@ -179,8 +139,7 @@ func (s *Server) handleHarden(w http.ResponseWriter, r *http.Request) {
 		}
 		vec, hit, err := harden.CachedTermDerivs(plan, env, st)
 		if err != nil {
-			fail(http.StatusUnprocessableEntity, "term sensitivities: %v", err)
-			return
+			return nil, fmt.Errorf("term sensitivities: %v", err)
 		}
 		if hit {
 			s.reg.Counter("harden.sens_cache_hits").Inc()
@@ -195,7 +154,5 @@ func (s *Server) handleHarden(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.TopTerms = ranked
 	}
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1e3
-	s.reg.Counter("harden.ok").Inc()
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }

@@ -108,6 +108,9 @@ type Server struct {
 	flight *obs.FlightRecorder
 	slowMu sync.Mutex // serializes SlowLog writes
 
+	// errs and busy count failed and backpressured (429) requests.
+	errs, busy *obs.Counter
+
 	mu      sync.RWMutex
 	designs map[string]*Design
 
@@ -156,6 +159,8 @@ func New(cfg Config) *Server {
 		eng:     sweep.New(cfg.Sweep),
 		reg:     cfg.Obs,
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
+		errs:    cfg.Obs.Counter("server.errors"),
+		busy:    cfg.Obs.Counter("server.rejected_busy"),
 		start:   time.Now(),
 		flight:  obs.NewFlightRecorder(cfg.FlightRecorderSize),
 		designs: make(map[string]*Design),
@@ -184,6 +189,12 @@ func (e *DuplicateDesignError) Error() string {
 // replacing a live design would make concurrent requests to one name
 // answer from two different circuits.
 func (s *Server) AddResult(name string, res *core.Result) (*Design, error) {
+	return s.register(name, res, false)
+}
+
+// register compiles res's plan and registers it under name, replacing
+// a live design there only when replace is set.
+func (s *Server) register(name string, res *core.Result, replace bool) (*Design, error) {
 	if name == "" {
 		name = res.Analyzer.G.Design.Name
 	}
@@ -206,12 +217,23 @@ func (s *Server) AddResult(name string, res *core.Result) (*Design, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.designs[name]; dup {
+	if _, dup := s.designs[name]; dup && !replace {
 		return nil, &DuplicateDesignError{Name: name}
 	}
 	s.designs[name] = d
 	s.reg.Gauge("server.designs").Set(float64(len(s.designs)))
 	return d, nil
+}
+
+// info is the design's GET /v1/designs row.
+func (d *Design) info() DesignInfo {
+	return DesignInfo{Name: d.Name, Vertices: d.Vertices, SeqBits: d.SeqBits, Plan: d.Plan}
+}
+
+// fingerprint renders the design's analyzer fingerprint for the flight
+// record.
+func (d *Design) fingerprint() string {
+	return fmt.Sprintf("%016x", d.Result.Analyzer.Fingerprint())
 }
 
 // LoadNetlist parses a textual netlist, solves it symbolically under
@@ -316,31 +338,7 @@ func (e *UnknownDesignError) Error() string {
 // requests see the replacement. This is the ECO path's registration —
 // uploads that must not silently displace a live design use AddResult.
 func (s *Server) ReplaceResult(name string, res *core.Result) (*Design, error) {
-	if name == "" {
-		name = res.Analyzer.G.Design.Name
-	}
-	plan, err := s.eng.Plan(res)
-	if err != nil {
-		return nil, fmt.Errorf("server: compiling plan for %q: %w", name, err)
-	}
-	seq := 0
-	for v := 0; v < res.Analyzer.G.NumVerts(); v++ {
-		if res.IsSequentialBit(graph.VertexID(v)) {
-			seq++
-		}
-	}
-	d := &Design{
-		Name:     name,
-		Result:   res,
-		Plan:     plan.Stats(),
-		Vertices: res.Analyzer.G.NumVerts(),
-		SeqBits:  seq,
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.designs[name] = d
-	s.reg.Gauge("server.designs").Set(float64(len(s.designs)))
-	return d, nil
+	return s.register(name, res, true)
 }
 
 // EditNetlistContext applies an ECO: it parses the edited netlist,

@@ -30,7 +30,10 @@ var metricKind = map[string]string{
 
 // collectMetricNames parses every non-test .go file under the repo and
 // returns each metric-name string literal passed to a registry
-// constructor, keyed by name with the set of (kind, position) uses.
+// constructor, keyed by name with the set of (kind, position) uses. A
+// name that is not a string literal fails the test: the lint can only
+// vouch for names it can read, so a computed name (a table-driven
+// handler's, say) would otherwise slip past it unchecked.
 func collectMetricNames(t *testing.T) map[string]map[string][]string {
 	t.Helper()
 	found := make(map[string]map[string][]string) // name → kind → positions
@@ -67,10 +70,13 @@ func collectMetricNames(t *testing.T) map[string]map[string][]string {
 			}
 			lit, ok := call.Args[0].(*ast.BasicLit)
 			if !ok || lit.Kind != token.STRING {
+				t.Errorf("%s: %s name is not a string literal; register metrics with literal names",
+					fset.Position(call.Args[0].Pos()), sel.Sel.Name)
 				return true
 			}
 			name, err := strconv.Unquote(lit.Value)
 			if err != nil {
+				t.Errorf("%s: unreadable metric name %s", fset.Position(lit.Pos()), lit.Value)
 				return true
 			}
 			if found[name] == nil {
