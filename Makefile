@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench fuzz-smoke cover run-seqavfd run-fleet-smoke ci
+.PHONY: all build vet perfbench-vet test race bench fuzz-smoke cover run-seqavfd run-fleet-smoke ci
 
 all: build
 
@@ -13,6 +13,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench/ is a nested module, so the root ./... patterns skip it; vet
+# it on its own so an internal API break it depends on fails here, not
+# when the benchmark runs. (vet, not build: build would write a binary
+# into the tree.)
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
 
 # -shuffle=on randomizes test order so inter-test state dependencies
 # surface in CI instead of in the field.
@@ -56,4 +63,4 @@ run-seqavfd: build
 run-fleet-smoke: build
 	./scripts/fleet_smoke.sh
 
-ci: vet build race cover fuzz-smoke
+ci: vet perfbench-vet build race cover fuzz-smoke

@@ -517,13 +517,13 @@ func BenchmarkIntervalSweep(b *testing.B) {
 	})
 }
 
-// BenchmarkBlockedSweep contrasts the scalar per-workload plan walk
-// (Plan.Eval, the BenchmarkBatchSweep32 path) against the blocked SoA
-// kernel (Plan.EvalBlock) on the XeonLike design: 64 workloads, one
-// evaluation worker, so the ratio isolates the kernel rather than
-// parallelism. Results are bit-identical between the two paths; only the
-// traversal order differs — scalar streams the CSR plan indices once per
-// workload, blocked streams them once per 16-lane block.
+// BenchmarkBlockedSweep contrasts two lane widths of the SoA kernel
+// (Plan.EvalBlock) on the XeonLike design: width 1, one workload per
+// block, against the default 16 lanes — 64 workloads, one evaluation
+// worker, so the ratio isolates the blocking rather than parallelism.
+// Results are bit-identical at both widths; only the traversal differs —
+// width 1 streams the CSR plan indices once per workload, width 16 once
+// per 16-lane block.
 //
 // Each iteration starts from a collected heap (StopTimer + runtime.GC),
 // the same quiesced-GC protocol as BenchmarkWarmStartVsSolve, so GC
@@ -569,7 +569,7 @@ func BenchmarkBlockedSweep(b *testing.B) {
 		name  string
 		block int
 	}{
-		{"Scalar", 1},
+		{"Width1", 1},
 		{"Blocked16", 16},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

@@ -71,7 +71,6 @@ func main() {
 	loop := flag.Float64("loop", 0.3, "loop-boundary pAVF for loaded designs")
 	pseudo := flag.Float64("pseudo", 0.2, "boundary pseudo-structure pAVF for loaded designs")
 	workers := flag.Int("workers", 0, "evaluation workers per sweep (0 = all cores)")
-	blockW := cliutil.BlockFlag()
 	cache := flag.Int("cache", 0, "compiled-plan LRU capacity (0 = 8)")
 	maxConc := flag.Int("max-concurrent", 0, "concurrent sweep requests before 429 (0 = all cores)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request sweep deadline")
@@ -89,7 +88,7 @@ func main() {
 		cliutil.Exit("seqavfd", err)
 	}
 	srv := server.New(server.Config{
-		Sweep:              sweep.Options{Workers: *workers, CacheSize: *cache, BlockSize: *blockW},
+		Sweep:              sweep.Options{Workers: *workers, CacheSize: *cache},
 		Obs:                reg,
 		MaxConcurrent:      *maxConc,
 		RequestTimeout:     *timeout,

@@ -51,7 +51,6 @@ func main() {
 	glob := flag.String("glob", "*.pavf", "file pattern selecting workload tables in -pavfdir")
 	workers := flag.Int("workers", 0, "evaluation workers (0 = all cores)")
 	chunk := flag.Int("chunk", 0, "workloads per worker claim (0 = auto)")
-	blockW := cliutil.BlockFlag()
 	loop := flag.Float64("loop", 0.3, "loop-boundary pAVF")
 	pseudo := flag.Float64("pseudo", 0.2, "boundary pseudo-structure pAVF")
 	nodes := flag.Bool("nodes", false, "include per-sequential-node seqAVFs for each workload")
@@ -66,7 +65,7 @@ func main() {
 		os.Exit(2)
 	}
 	reg := ob.Start("sweeprun")
-	err := run(reg, arts, *nl, *dir, *glob, *workers, *chunk, *blockW, *loop, *pseudo, *nodes, *windows, *out)
+	err := run(reg, arts, *nl, *dir, *glob, *workers, *chunk, *loop, *pseudo, *nodes, *windows, *out)
 	if ob.Trace {
 		reg.WritePhaseSummary(os.Stderr)
 	}
@@ -123,12 +122,11 @@ type windowSpan struct {
 	End   uint64 `json:"end"`
 }
 
-func run(reg *obs.Registry, arts *cliutil.Artifacts, nlPath, dir, glob string, workers, chunk, blockW int, loop, pseudo float64, nodes, windows bool, out string) error {
+func run(reg *obs.Registry, arts *cliutil.Artifacts, nlPath, dir, glob string, workers, chunk int, loop, pseudo float64, nodes, windows bool, out string) error {
 	reg.SetManifest("netlist", nlPath)
 	reg.SetManifest("pavfdir", dir)
 	reg.SetManifest("glob", glob)
 	reg.SetManifest("workers", workers)
-	reg.SetManifest("block", blockW)
 	reg.SetManifest("windows", windows)
 
 	// The whole run is one trace: load, solve/restore, and the sweep all
@@ -210,21 +208,14 @@ func run(reg *obs.Registry, arts *cliutil.Artifacts, nlPath, dir, glob string, w
 		fmt.Fprintf(os.Stderr, "sweeprun: incremental re-solve from prior artifact (%d of %d FUBs reused, %d iterations)\n",
 			disp.Incremental.FubsReused, disp.Incremental.FubsTotal, disp.Incremental.Iterations)
 	}
-	engOpts := sweep.Options{Workers: workers, ChunkSize: chunk, BlockSize: blockW, Obs: reg}
+	engOpts := sweep.Options{Workers: workers, ChunkSize: chunk, Obs: reg}
 	if st != nil {
 		engOpts.Store = st
 	}
 	eng := sweep.New(engOpts)
-	effBlock := blockW
-	switch {
-	case effBlock == 0:
-		effBlock = sweep.DefaultBlockSize
-	case effBlock < 1:
-		effBlock = 1
-	}
 
 	if windows {
-		return runIntervals(ctx, eng, res, d.Name, ivs, nodes, effBlock, out)
+		return runIntervals(ctx, eng, res, d.Name, ivs, nodes, out)
 	}
 
 	ws := make([]sweep.Workload, len(named))
@@ -240,7 +231,7 @@ func run(reg *obs.Registry, arts *cliutil.Artifacts, nlPath, dir, glob string, w
 		Design:    d.Name,
 		Workloads: len(batch.Results),
 		Plan:      batch.Plan.Stats(),
-		Block:     effBlock,
+		Block:     sweep.DefaultBlockSize,
 		ElapsedMS: float64(batch.Elapsed.Microseconds()) / 1e3,
 		PerSec:    batch.WorkloadsPerSec(),
 		Results:   make([]workloadReport, len(batch.Results)),
@@ -267,7 +258,7 @@ func run(reg *obs.Registry, arts *cliutil.Artifacts, nlPath, dir, glob string, w
 // becomes one lane of a single blocked batch through the shared compiled
 // plan, and the report carries each workload's per-window time series
 // with its summary statistics.
-func runIntervals(ctx context.Context, eng *sweep.Engine, res *core.Result, design string, ivs []pavfio.NamedIntervals, nodes bool, effBlock int, out string) error {
+func runIntervals(ctx context.Context, eng *sweep.Engine, res *core.Result, design string, ivs []pavfio.NamedIntervals, nodes bool, out string) error {
 	ws := make([]sweep.IntervalWorkload, len(ivs))
 	for i, ni := range ivs {
 		iw := sweep.IntervalWorkload{Name: ni.Name}
@@ -286,7 +277,7 @@ func runIntervals(ctx context.Context, eng *sweep.Engine, res *core.Result, desi
 		Workloads: len(batch.Workloads),
 		Windows:   batch.WindowsEvaluated,
 		Plan:      batch.Plan.Stats(),
-		Block:     effBlock,
+		Block:     sweep.DefaultBlockSize,
 		ElapsedMS: float64(batch.Elapsed.Microseconds()) / 1e3,
 		Results:   make([]intervalWorkloadReport, len(batch.Workloads)),
 	}
@@ -304,18 +295,7 @@ func runIntervals(ctx context.Context, eng *sweep.Engine, res *core.Result, desi
 			wr.Windows[wi] = windowSpan{Start: span.Start, End: span.End}
 		}
 		if nodes {
-			// Per-node time series: node -> one AVF per window.
-			wr.SeqAVF = make(map[string][]float64)
-			for wi, r := range iw.Results {
-				for node, avf := range r.SeqAVFByNode() {
-					series, ok := wr.SeqAVF[node]
-					if !ok {
-						series = make([]float64, len(iw.Results))
-						wr.SeqAVF[node] = series
-					}
-					series[wi] = avf
-				}
-			}
+			wr.SeqAVF = iw.NodeSeries()
 		}
 		rep.Results[i] = wr
 	}

@@ -13,7 +13,8 @@ import (
 // plan — Restore rebuilds the same pair-dedup and run-length broadcast
 // tables Compile builds, so the warm-start path gets the SoA kernel with
 // no arithmetic drift. Checked over seeded designs, against both the
-// fresh plan's EvalBlockInto and the scalar Eval reference, bit for bit.
+// fresh plan's EvalBlockInto and Result.Reevaluate (pavf.Expr.Eval of
+// the closed forms), bit for bit.
 func TestRestoredPlanBlockBitIdentity(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
 		a1, res, in := buildSolved(t, seed, seed^0xc0ffee)
@@ -48,17 +49,18 @@ func TestRestoredPlanBlockBitIdentity(t *testing.T) {
 			t.Fatalf("seed %d: restored EvalBlockInto: %v", seed, err)
 		}
 		for i, w := range ws {
-			scalar, err := fresh.Eval(w.Inputs, nil)
-			if err != nil {
-				t.Fatalf("seed %d: scalar Eval(%s): %v", seed, w.Name, err)
+			ref := *res
+			ref.AVF = make([]float64, len(res.AVF))
+			if err := ref.Reevaluate(w.Inputs); err != nil {
+				t.Fatalf("seed %d: Reevaluate(%s): %v", seed, w.Name, err)
 			}
-			for v := range scalar.AVF {
+			for v := range ref.AVF {
 				rb := math.Float64bits(fromRestored[i].AVF[v])
 				fb := math.Float64bits(fromFresh[i].AVF[v])
-				sb := math.Float64bits(scalar.AVF[v])
+				sb := math.Float64bits(ref.AVF[v])
 				if rb != fb || rb != sb {
-					t.Fatalf("seed %d workload %s vertex %d: restored-block %v, fresh-block %v, scalar %v",
-						seed, w.Name, v, fromRestored[i].AVF[v], fromFresh[i].AVF[v], scalar.AVF[v])
+					t.Fatalf("seed %d workload %s vertex %d: restored-block %v, fresh-block %v, reevaluate %v",
+						seed, w.Name, v, fromRestored[i].AVF[v], fromFresh[i].AVF[v], ref.AVF[v])
 				}
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"seqavf/internal/core"
+	"seqavf/internal/sweep"
 )
 
 // fuzzTarget lazily builds one fixed analyzer (and a valid artifact for
@@ -72,7 +73,8 @@ func FuzzDecodeArtifact(f *testing.F) {
 		if plan.NumVerts() != n {
 			t.Fatalf("accepted plan covers %d of %d vertices", plan.NumVerts(), n)
 		}
-		if _, err := plan.Eval(res.Inputs, nil); err != nil {
+		self := []sweep.Workload{{Name: "self", Inputs: res.Inputs}}
+		if err := plan.EvalBlockInto(self, nil, nil, make([]*core.Result, 1)); err != nil {
 			t.Fatalf("accepted plan failed to evaluate its own inputs: %v", err)
 		}
 	})

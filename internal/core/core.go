@@ -266,6 +266,9 @@ type Analyzer struct {
 
 	visitedOnce sync.Once
 	visitedBits []bool
+
+	seqOnce  sync.Once
+	seqIndex *SeqIndex
 }
 
 // portBind is one structure port's term slot in the flattened form the
@@ -484,7 +487,7 @@ func (a *Analyzer) buildSources() {
 		case RoleLoop:
 			term, ok := loopTermOf[node]
 			if !ok {
-				term = a.universe.Intern(pavf.Term{Kind: pavf.KindLoop, Name: a.loopName(id)})
+				term = a.universe.Intern(pavf.Term{Kind: pavf.KindLoop, Name: a.nodeKey(id)})
 				loopTermOf[node] = term
 				a.loopTerms = append(a.loopTerms, term)
 			}
@@ -515,13 +518,6 @@ func (a *Analyzer) buildSources() {
 			a.bwdSrc[v] = pavf.Singleton(term)
 		}
 	}
-}
-
-// loopName labels a loop-boundary node's term: all bits of the node share
-// one term (joins of distinct loop nodes still sum).
-func (a *Analyzer) loopName(v graph.VertexID) string {
-	vx := &a.G.Verts[v]
-	return a.G.FubNames[vx.Fub] + "/" + vx.Node.Name
 }
 
 // portName labels a boundary pseudo-structure term for a FUB port node.

@@ -169,21 +169,17 @@ func (r *Result) Contributors(v graph.VertexID) (fwd, bwd []Contributor) {
 // (unweighted sum of per-bit components divided by bit count).
 func (r *Result) SeqDecomposition() Decomposition {
 	var d Decomposition
-	n := 0
-	for v := 0; v < r.Analyzer.G.NumVerts(); v++ {
-		if !r.IsSequentialBit(graph.VertexID(v)) {
-			continue
-		}
-		dv := r.Decompose(graph.VertexID(v))
+	bits := r.Analyzer.SeqIndex().Bits
+	for _, v := range bits {
+		dv := r.Decompose(v)
 		d.SDC += dv.SDC
 		d.DUE += dv.DUE
 		d.DCE += dv.DCE
-		n++
 	}
-	if n > 0 {
-		d.SDC /= float64(n)
-		d.DUE /= float64(n)
-		d.DCE /= float64(n)
+	if n := float64(len(bits)); n > 0 {
+		d.SDC /= n
+		d.DUE /= n
+		d.DCE /= n
 	}
 	return d
 }

@@ -4,9 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
-
-	"seqavf/internal/graph"
-	"seqavf/internal/netlist"
 )
 
 // ExportNode is the serialized form of one sequential node's result.
@@ -72,45 +69,32 @@ func (r *Result) Export(withEquations bool) *Export {
 			LoopBits: fs.LoopSeqBits, CtrlBits: fs.CtrlBits,
 		})
 	}
-	// Per-node aggregation (bits of one node averaged).
-	type acc struct {
-		first graph.VertexID
-		en    ExportNode
+	// Per-node aggregation (bits of one node averaged), sorted by key.
+	nodes := a.SeqIndex().Nodes
+	order := make([]int, len(nodes))
+	for i := range order {
+		order[i] = i
 	}
-	byNode := make(map[string]*acc)
-	var order []string
-	for v := 0; v < a.G.NumVerts(); v++ {
-		id := graph.VertexID(v)
-		vx := &a.G.Verts[v]
-		if vx.Node.Kind != netlist.KindSeq || a.roles[v] == RoleDebug {
-			continue
+	sort.Slice(order, func(i, j int) bool { return nodes[order[i]].Key < nodes[order[j]].Key })
+	for _, i := range order {
+		sn := &nodes[i]
+		en := ExportNode{Node: sn.Key, Role: a.roles[sn.Bits[0]].String(), Bits: len(sn.Bits)}
+		for _, v := range sn.Bits {
+			d := r.Decompose(v)
+			en.AVF += r.AVF[v]
+			en.SDC += d.SDC
+			en.DUE += d.DUE
+			en.DCE += d.DCE
 		}
-		key := a.G.FubNames[vx.Fub] + "/" + vx.Node.Name
-		e, ok := byNode[key]
-		if !ok {
-			e = &acc{first: id, en: ExportNode{Node: key, Role: a.roles[v].String()}}
-			byNode[key] = e
-			order = append(order, key)
-		}
-		d := r.Decompose(id)
-		e.en.Bits++
-		e.en.AVF += r.AVF[v]
-		e.en.SDC += d.SDC
-		e.en.DUE += d.DUE
-		e.en.DCE += d.DCE
-	}
-	sort.Strings(order)
-	for _, key := range order {
-		e := byNode[key]
-		n := float64(e.en.Bits)
-		e.en.AVF /= n
-		e.en.SDC /= n
-		e.en.DUE /= n
-		e.en.DCE /= n
+		n := float64(en.Bits)
+		en.AVF /= n
+		en.SDC /= n
+		en.DUE /= n
+		en.DCE /= n
 		if withEquations {
-			e.en.Equation = r.Equation(e.first)
+			en.Equation = r.Equation(sn.Bits[0])
 		}
-		out.Nodes = append(out.Nodes, e.en)
+		out.Nodes = append(out.Nodes, en)
 	}
 	return out
 }

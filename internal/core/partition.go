@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"seqavf/internal/graph"
-	"seqavf/internal/netlist"
 	"seqavf/internal/pavf"
 )
 
@@ -118,10 +117,10 @@ func (a *Analyzer) SolvePartitioned(in *Inputs) (*Result, error) {
 				maxDelta = d
 			}
 			prevVal[v] = val
-			vx := &a.G.Verts[v]
-			if vx.Node.Kind == netlist.KindSeq && a.roles[v] != RoleDebug {
-				fubSum[vx.Fub] += val
-				fubCnt[vx.Fub]++
+			if a.isSeqBit(graph.VertexID(v)) {
+				f := a.G.Verts[v].Fub
+				fubSum[f] += val
+				fubCnt[f]++
 			}
 		}
 		avg := make([]float64, numFubs)

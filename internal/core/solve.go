@@ -368,8 +368,7 @@ func (r *Result) VisitedFraction() float64 {
 // bit for statistics purposes. Structure storage is excluded: structures
 // are ACE-modeled, not sequentials.
 func (r *Result) IsSequentialBit(v graph.VertexID) bool {
-	vx := &r.Analyzer.G.Verts[v]
-	return vx.Node.Kind == netlist.KindSeq && r.Analyzer.roles[v] != RoleDebug
+	return r.Analyzer.isSeqBit(v)
 }
 
 // FubStat summarizes one FUB after resolution — one bar of Figure 9.
@@ -474,22 +473,12 @@ func (r *Result) Summarize() Summary {
 // SeqAVFByNode returns the average AVF per sequential node (averaging the
 // node's bits), keyed by "fub/node".
 func (r *Result) SeqAVFByNode() map[string]float64 {
-	a := r.Analyzer
-	sums := make(map[string]float64)
-	counts := make(map[string]int)
-	for v := 0; v < a.G.NumVerts(); v++ {
-		if !r.IsSequentialBit(graph.VertexID(v)) {
-			continue
-		}
-		vx := &a.G.Verts[v]
-		key := a.G.FubNames[vx.Fub] + "/" + vx.Node.Name
-		sums[key] += r.AVF[v]
-		counts[key]++
+	nodes := r.Analyzer.SeqIndex().Nodes
+	out := make(map[string]float64, len(nodes))
+	for i := range nodes {
+		out[nodes[i].Key] = nodes[i].MeanAVF(r.AVF)
 	}
-	for k := range sums {
-		sums[k] /= float64(counts[k])
-	}
-	return sums
+	return out
 }
 
 // MaxAbsDiff returns the largest absolute per-vertex AVF difference

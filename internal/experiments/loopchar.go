@@ -66,10 +66,11 @@ func LoopChar(prog string, charInject, refInject int) (*LoopCharResult, error) {
 		return nil, err
 	}
 	loopNode := make(map[string]bool)
-	for v := 0; v < bg.NumVerts(); v++ {
-		if probe.Role(graph.VertexID(v)) == core.RoleLoop {
-			vx := &bg.Verts[v]
-			loopNode[bg.FubNames[vx.Fub]+"/"+vx.Node.Name] = true
+	for _, n := range probe.SeqIndex().Nodes {
+		for _, v := range n.Bits {
+			if probe.Role(v) == core.RoleLoop {
+				loopNode[n.Key] = true
+			}
 		}
 	}
 

@@ -223,10 +223,11 @@ func Validate(prog string, injectionsPerBit int) (*ValidateResult, error) {
 		SartVisitedPercent: 100 * res.VisitedFraction(),
 	}
 	loopNodes := make(map[string]bool)
-	for v := 0; v < bg.NumVerts(); v++ {
-		if analyzer.Role(graph.VertexID(v)) == core.RoleLoop {
-			vx := &bg.Verts[v]
-			loopNodes[bg.FubNames[vx.Fub]+"/"+vx.Node.Name] = true
+	for _, n := range analyzer.SeqIndex().Nodes {
+		for _, v := range n.Bits {
+			if analyzer.Role(v) == core.RoleLoop {
+				loopNodes[n.Key] = true
+			}
 		}
 	}
 	for i := range camp.Nodes {

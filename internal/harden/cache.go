@@ -150,7 +150,7 @@ func CachedTermDerivs(p *sweep.Plan, env pavf.Env, store SensStore) (*Vector, bo
 	if err != nil {
 		return nil, false, err
 	}
-	seq := seqVerts(p.Analyzer)
+	seq := p.Analyzer.SeqIndex().Bits
 	avf, err := evalEnvOnce(p, env)
 	if err != nil {
 		return nil, false, err

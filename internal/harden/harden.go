@@ -71,7 +71,7 @@ type Model struct {
 	res   *core.Result
 	cands []Candidate
 	verts [][]graph.VertexID // per candidate, its sequential bit vertices
-	index map[string]int     // key → candidate index
+	index map[string]int     // key → candidate index (the design's SeqIndex.ByKey)
 	base  core.Summary
 }
 
@@ -87,26 +87,18 @@ func NewModel(res *core.Result, costs map[string]float64) (*Model, error) {
 		return nil, fmt.Errorf("harden: result holds %d AVFs but design %q has %d vertices",
 			len(res.AVF), a.G.Design.Name, n)
 	}
-	m := &Model{res: res, index: make(map[string]int)}
-	for v := 0; v < n; v++ {
-		if !res.IsSequentialBit(graph.VertexID(v)) {
-			continue
-		}
-		vx := &a.G.Verts[v]
-		key := a.G.FubNames[vx.Fub] + "/" + vx.Node.Name
-		ci, ok := m.index[key]
-		if !ok {
-			ci = len(m.cands)
-			m.index[key] = ci
-			m.cands = append(m.cands, Candidate{Key: key})
-			m.verts = append(m.verts, nil)
-		}
-		m.cands[ci].Bits++
-		m.cands[ci].Gain += res.AVF[v]
-		m.verts[ci] = append(m.verts[ci], graph.VertexID(v))
+	idx := a.SeqIndex()
+	m := &Model{
+		res:   res,
+		cands: make([]Candidate, len(idx.Nodes)),
+		verts: make([][]graph.VertexID, len(idx.Nodes)),
+		index: idx.ByKey,
 	}
-	for i := range m.cands {
-		m.cands[i].Cost = float64(m.cands[i].Bits)
+	for i := range idx.Nodes {
+		sn := &idx.Nodes[i]
+		bits := len(sn.Bits)
+		m.cands[i] = Candidate{Key: sn.Key, Bits: bits, Gain: sn.SumAVF(res.AVF), Cost: float64(bits)}
+		m.verts[i] = sn.Bits
 	}
 	for key, c := range costs {
 		ci, ok := m.index[key]

@@ -28,9 +28,7 @@ import (
 	"math"
 	"sort"
 
-	"seqavf/internal/core"
 	"seqavf/internal/graph"
-	"seqavf/internal/netlist"
 	"seqavf/internal/pavf"
 	"seqavf/internal/sweep"
 )
@@ -42,19 +40,6 @@ type TermSensitivity struct {
 	Kind  string      `json:"kind"`
 	Name  string      `json:"name"`
 	Deriv float64     `json:"deriv"`
-}
-
-// seqVerts lists the sequential bit vertices of a design (the chip-AVF
-// denominator's population).
-func seqVerts(a *core.Analyzer) []graph.VertexID {
-	var out []graph.VertexID
-	for v := 0; v < a.G.NumVerts(); v++ {
-		vx := &a.G.Verts[v]
-		if vx.Node.Kind == netlist.KindSeq && a.Role(graph.VertexID(v)) != core.RoleDebug {
-			out = append(out, graph.VertexID(v))
-		}
-	}
-	return out
 }
 
 // chipAVF is the plain sequential mean of one AVF vector — the same
@@ -76,7 +61,7 @@ func chipAVF(avf []float64, seq []graph.VertexID) float64 {
 // env. At a kink (a set sum at exactly 1.0, or the two MIN sides exactly
 // tied) the reported value is the kernel's right-continuation: a capped
 // set contributes slope 0, a tie resolves to the forward side, matching
-// how Plan.Eval breaks those ties.
+// how the kernel breaks those ties.
 func TermDerivs(p *sweep.Plan, env pavf.Env) ([]float64, error) {
 	a := p.Analyzer
 	if want := a.Universe().Len(); len(env) != want {
@@ -107,7 +92,7 @@ func TermDerivs(p *sweep.Plan, env pavf.Env) ([]float64, error) {
 	}
 
 	// Count, per set, the sequential bits whose MIN it wins uncapped.
-	seq := seqVerts(a)
+	seq := a.SeqIndex().Bits
 	wins := make([]int64, nSets)
 	for _, v := range seq {
 		fi, bi := raw.FwdIdx[v], raw.BwdIdx[v]
@@ -196,10 +181,10 @@ func evalEnvOnce(p *sweep.Plan, env pavf.Env) ([]float64, error) {
 // FDTermDerivs estimates ∂chipAVF/∂env[t] for the given terms by central
 // finite differences batched through the blocked kernel: each probed
 // term contributes two lanes (env[t]+h and env[t]-h) to an EnvMatrix,
-// evaluated blockSize lanes at a time (0 = sweep.DefaultBlockSize).
+// evaluated sweep.DefaultBlockSize lanes at a time.
 // Terms whose base value leaves no room for a symmetric step (env[t]
 // outside [h, 1-h]) — including Top, which is pinned at 1 — report NaN.
-func FDTermDerivs(p *sweep.Plan, env pavf.Env, ids []pavf.TermID, h float64, blockSize int) ([]float64, error) {
+func FDTermDerivs(p *sweep.Plan, env pavf.Env, ids []pavf.TermID, h float64) ([]float64, error) {
 	a := p.Analyzer
 	if want := a.Universe().Len(); len(env) != want {
 		return nil, fmt.Errorf("harden: env has %d terms but design %q has a universe of %d",
@@ -211,14 +196,8 @@ func FDTermDerivs(p *sweep.Plan, env pavf.Env, ids []pavf.TermID, h float64, blo
 	if !(h > 0) || h >= 0.5 {
 		return nil, fmt.Errorf("harden: fd step %v must be in (0, 0.5)", h)
 	}
-	if blockSize <= 0 {
-		blockSize = sweep.DefaultBlockSize
-	}
-	pairsPerBlock := blockSize / 2
-	if pairsPerBlock < 1 {
-		pairsPerBlock = 1
-	}
-	seq := seqVerts(a)
+	const pairsPerBlock = sweep.DefaultBlockSize / 2
+	seq := a.SeqIndex().Bits
 	out := make([]float64, len(ids))
 
 	var m sweep.EnvMatrix

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"seqavf/internal/core"
-	"seqavf/internal/graph"
 )
 
 // This file implements the hardening planner the paper motivates in §1:
@@ -78,59 +77,45 @@ func PlanHardening(res *core.Result, fit FITParams, hp HardeningParams, target f
 	if hp.RateFactor < 0 || hp.RateFactor >= 1 {
 		return nil, fmt.Errorf("ser: RateFactor %v out of [0,1)", hp.RateFactor)
 	}
-	type nodeAgg struct {
-		name string
-		bits int
-		sdc  float64 // summed SDC AVF over bits
-	}
-	byNode := make(map[string]*nodeAgg)
-	var order []string
-	g := res.Analyzer.G
-	for v := 0; v < g.NumVerts(); v++ {
-		id := graph.VertexID(v)
-		if !res.IsSequentialBit(id) {
-			continue
+	// Per-node SDC AVF mass, summed over the node's bits in vertex order.
+	nodes := res.Analyzer.SeqIndex().Nodes
+	sdc := make([]float64, len(nodes))
+	order := make([]int, len(nodes))
+	for i := range nodes {
+		for _, v := range nodes[i].Bits {
+			sdc[i] += res.SDCAVF(v)
 		}
-		vx := &g.Verts[v]
-		key := g.FubNames[vx.Fub] + "/" + vx.Node.Name
-		agg, ok := byNode[key]
-		if !ok {
-			agg = &nodeAgg{name: key}
-			byNode[key] = agg
-			order = append(order, key)
-		}
-		agg.bits++
-		agg.sdc += res.SDCAVF(id)
+		order[i] = i
 	}
 	sort.Slice(order, func(i, j int) bool {
-		a, b := byNode[order[i]], byNode[order[j]]
-		da := a.sdc / float64(a.bits)
-		db := b.sdc / float64(b.bits)
+		a, b := order[i], order[j]
+		da := sdc[a] / float64(len(nodes[a].Bits))
+		db := sdc[b] / float64(len(nodes[b].Bits))
 		if da != db {
 			return da > db
 		}
-		return a.name < b.name
+		return nodes[a].Key < nodes[b].Key
 	})
 
 	plan := &HardeningPlan{}
-	for _, agg := range byNode {
-		plan.BaseSeqFIT += agg.sdc * fit.IntrinsicSeq
-		plan.TotalSeqBits += agg.bits
+	for i := range nodes {
+		plan.BaseSeqFIT += sdc[i] * fit.IntrinsicSeq
+		plan.TotalSeqBits += len(nodes[i].Bits)
 	}
 	plan.PlannedSeqFIT = plan.BaseSeqFIT
 	goal := plan.BaseSeqFIT * (1 - target)
-	for _, key := range order {
+	for _, i := range order {
 		if plan.PlannedSeqFIT <= goal {
 			break
 		}
-		agg := byNode[key]
-		saved := agg.sdc * fit.IntrinsicSeq * (1 - hp.RateFactor)
+		bits := len(nodes[i].Bits)
+		saved := sdc[i] * fit.IntrinsicSeq * (1 - hp.RateFactor)
 		plan.PlannedSeqFIT -= saved
-		plan.HardenedBits += agg.bits
+		plan.HardenedBits += bits
 		plan.Nodes = append(plan.Nodes, HardenedNode{
-			Node:     key,
-			Bits:     agg.bits,
-			AVF:      agg.sdc / float64(agg.bits),
+			Node:     nodes[i].Key,
+			Bits:     bits,
+			AVF:      sdc[i] / float64(bits),
 			SavedFIT: saved,
 		})
 	}

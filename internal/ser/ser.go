@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"seqavf/internal/core"
-	"seqavf/internal/graph"
 	"seqavf/internal/netlist"
 	"seqavf/internal/stats"
 )
@@ -55,10 +54,8 @@ func (b Breakdown) Total() float64 { return b.SeqFIT + b.ArrayFIT }
 // ECC-protected arrays contribute nothing user-visible.)
 func ModeledFIT(res *core.Result, structBits map[string]int, p FITParams) Breakdown {
 	var b Breakdown
-	for v := 0; v < res.Analyzer.G.NumVerts(); v++ {
-		if res.IsSequentialBit(graph.VertexID(v)) {
-			b.SeqFIT += res.SDCAVF(graph.VertexID(v)) * p.IntrinsicSeq
-		}
+	for _, v := range res.Analyzer.SeqIndex().Bits {
+		b.SeqFIT += res.SDCAVF(v) * p.IntrinsicSeq
 	}
 	b.ArrayFIT = arrayFIT(res, structBits, p, netlist.ProtNone)
 	return b
@@ -68,10 +65,8 @@ func ModeledFIT(res *core.Result, structBits map[string]int, p FITParams) Breakd
 // component of every sequential bit plus the parity-protected arrays.
 func ModeledDUEFIT(res *core.Result, structBits map[string]int, p FITParams) Breakdown {
 	var b Breakdown
-	for v := 0; v < res.Analyzer.G.NumVerts(); v++ {
-		if res.IsSequentialBit(graph.VertexID(v)) {
-			b.SeqFIT += res.DUEAVF(graph.VertexID(v)) * p.IntrinsicSeq
-		}
+	for _, v := range res.Analyzer.SeqIndex().Bits {
+		b.SeqFIT += res.DUEAVF(v) * p.IntrinsicSeq
 	}
 	b.ArrayFIT = arrayFIT(res, structBits, p, netlist.ProtParity)
 	return b
@@ -95,10 +90,8 @@ func ProxyFIT(res *core.Result, structBits map[string]int, p FITParams) Breakdow
 		}
 	}
 	var b Breakdown
-	for v := 0; v < res.Analyzer.G.NumVerts(); v++ {
-		if res.IsSequentialBit(graph.VertexID(v)) {
-			b.SeqFIT += proxy * p.IntrinsicSeq
-		}
+	for range res.Analyzer.SeqIndex().Bits {
+		b.SeqFIT += proxy * p.IntrinsicSeq
 	}
 	b.ArrayFIT = arrayFIT(res, structBits, p, netlist.ProtNone)
 	return b
@@ -111,13 +104,10 @@ func ProxyFIT(res *core.Result, structBits map[string]int, p FITParams) Breakdow
 // property of the design, not of the estimate).
 func TrueFIT(res *core.Result, truth []float64, structBits map[string]int, p FITParams) Breakdown {
 	var b Breakdown
-	for v := 0; v < res.Analyzer.G.NumVerts(); v++ {
-		if !res.IsSequentialBit(graph.VertexID(v)) {
-			continue
-		}
+	for _, v := range res.Analyzer.SeqIndex().Bits {
 		frac := 1.0
 		if avf := res.AVF[v]; avf > 0 {
-			frac = res.SDCAVF(graph.VertexID(v)) / avf
+			frac = res.SDCAVF(v) / avf
 		}
 		b.SeqFIT += truth[v] * frac * p.IntrinsicSeq
 	}

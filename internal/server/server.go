@@ -202,18 +202,12 @@ func (s *Server) register(name string, res *core.Result, replace bool) (*Design,
 	if err != nil {
 		return nil, fmt.Errorf("server: compiling plan for %q: %w", name, err)
 	}
-	seq := 0
-	for v := 0; v < res.Analyzer.G.NumVerts(); v++ {
-		if res.IsSequentialBit(graph.VertexID(v)) {
-			seq++
-		}
-	}
 	d := &Design{
 		Name:     name,
 		Result:   res,
 		Plan:     plan.Stats(),
 		Vertices: res.Analyzer.G.NumVerts(),
-		SeqBits:  seq,
+		SeqBits:  len(res.Analyzer.SeqIndex().Bits),
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

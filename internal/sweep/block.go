@@ -1,9 +1,9 @@
-// Blocked multi-workload evaluation: the SoA kernel behind batch sweeps.
+// Blocked multi-workload evaluation: the SoA kernel behind every sweep.
 //
-// Plan.Eval walks the full CSR index arrays (setOff/setIDs/fwdIdx/bwdIdx)
-// once per workload, so a 1000-workload sweep streams the same plan
-// indices 1000 times. The blocked kernel instead lays W workloads'
-// environments out as an EnvMatrix in structure-of-arrays order —
+// Evaluating one workload at a time would walk the full CSR index arrays
+// (setOff/setIDs/fwdIdx/bwdIdx) once per workload, so a 1000-workload
+// sweep would stream the same plan indices 1000 times. The kernel
+// instead lays W workloads' environments out as an EnvMatrix in structure-of-arrays order —
 // term-major, workload-lane-minor, so all W values of one term sit in one
 // contiguous row — and traverses the plan ONCE per block: every subterm
 // set is summed across all lanes before the next set's indices are
@@ -15,8 +15,9 @@
 // The kernel replays pavf's arithmetic exactly — per-lane sums add terms
 // in ascending TermID order and saturate at exactly 1.0, after which the
 // lane is excluded from further adds just as Set.Eval's break stops its
-// scalar sum — so EvalBlock results are bit-identical to per-workload
-// Eval for every lane, every block width, and every ragged tail.
+// sum — so every lane is bit-identical to pavf.Expr.Eval of its
+// environment (Result.Reevaluate, the tests' oracle), for every block
+// width, 1 included, and every ragged tail.
 
 package sweep
 
@@ -64,8 +65,8 @@ func (m *EnvMatrix) At(id pavf.TermID, w int) float64 {
 }
 
 // Reset rebuilds the matrix for one block of workloads against a: each
-// lane goes through the same fused CheckInputs+BuildEnv the scalar path
-// uses (core.Analyzer.CheckedEnv), then pavf.Env.Validate gates the
+// lane goes through the fused CheckInputs+BuildEnv
+// (core.Analyzer.CheckedEnv), then pavf.Env.Validate gates the
 // result — a NaN, Inf, or out-of-range pAVF is rejected here, at build
 // time, and never reaches the kernel. Errors name the offending
 // workload. The SoA buffer is reused; the per-lane environments are
@@ -141,7 +142,7 @@ func (p *Plan) ScratchLen(lanes int) int {
 // ScratchLen(Lanes()) entries (per-set running sums followed by the
 // vertex-major AVF staging rows, both SoA like the matrix). Shape
 // mismatches are errors, not panics. Results are bit-identical to
-// evaluating each lane's environment through Eval.
+// evaluating each lane's closed forms through pavf.Expr.Eval.
 func (p *Plan) EvalBlock(m *EnvMatrix, scratch []float64, out [][]float64) error {
 	if m.lanes == 0 {
 		return nil
@@ -176,7 +177,7 @@ func (p *Plan) EvalBlock(m *EnvMatrix, scratch []float64, out [][]float64) error
 // (an unknown side is a conservative 1.0, and set sums never exceed 1,
 // so the MIN collapses to the known side) and then broadcasts through
 // pairIdx with one sequential write per vertex. Both passes replay
-// evalEnv's arithmetic exactly.
+// pavf.Expr.Eval's arithmetic exactly.
 func (p *Plan) evalEnvBlock(m *EnvMatrix, scratch []float64, out [][]float64) {
 	lanes := m.lanes
 	vals := m.vals
@@ -230,8 +231,7 @@ func (p *Plan) evalEnvBlock(m *EnvMatrix, scratch []float64, out [][]float64) {
 // per worker serves a whole sweep; a nil m uses a throwaway. scratch must
 // hold ScratchLen(len(ws)) entries (nil allocates). Each Result's AVF
 // vector is a view into one fresh per-block backing array, and its Env is
-// the lane's freshly built environment; Results are bit-identical to
-// per-workload Eval, field for field.
+// the lane's freshly built environment.
 func (p *Plan) EvalBlockInto(ws []Workload, m *EnvMatrix, scratch []float64, dst []*core.Result) error {
 	if len(dst) != len(ws) {
 		return fmt.Errorf("sweep: %d result slots for %d workloads", len(dst), len(ws))

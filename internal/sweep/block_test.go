@@ -11,13 +11,13 @@ import (
 	"seqavf/internal/pavf"
 )
 
-// blockWidths are the lane widths every blocked-path test sweeps:
-// degenerate (1 = scalar), tiny, a ragged prime, the default, and wider
+// blockWidths are the lane widths every kernel test sweeps: degenerate
+// (1 = one workload per block), tiny, a ragged prime, the default, and wider
 // than most test batches (so whole sweeps are one ragged block).
 var blockWidths = []int{1, 2, 7, 16, 64}
 
 // bitIdentical fails the test unless got and want match bit for bit —
-// not within a tolerance; the blocked kernel must replay the scalar
+// not within a tolerance; the kernel must replay pavf.Expr.Eval's
 // arithmetic exactly.
 func bitIdentical(t *testing.T, ctxt string, got, want []float64) {
 	t.Helper()
@@ -26,7 +26,7 @@ func bitIdentical(t *testing.T, ctxt string, got, want []float64) {
 	}
 	for v := range got {
 		if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
-			t.Fatalf("%s: vertex %d = %x (%v), scalar %x (%v)",
+			t.Fatalf("%s: vertex %d = %x (%v), reference %x (%v)",
 				ctxt, v, math.Float64bits(got[v]), got[v], math.Float64bits(want[v]), want[v])
 		}
 	}
@@ -34,8 +34,8 @@ func bitIdentical(t *testing.T, ctxt string, got, want []float64) {
 
 // TestPropertyBlockBitIdentity is the blocked kernel's bit-identity
 // property test: on 200 seeded random designs, EvalBlock through the
-// engine must reproduce the scalar per-workload Plan.Eval results bit
-// for bit — for every tested lane width, for ragged tails (batch length
+// engine must reproduce per-workload Result.Reevaluate (pavf.Expr.Eval)
+// bit for bit — for every tested lane width, for ragged tails (batch length
 // not a multiple of the width), for widths wider than the batch, and for
 // empty batches. Workload order is shuffled per width so result slots
 // are checked positionally, and the engine runs two workers, so `go test
@@ -50,10 +50,6 @@ func TestPropertyBlockBitIdentity(t *testing.T) {
 	}
 	for seed := uint64(0); seed < seeds; seed++ {
 		_, res, _ := solved(t, graphtest.Small(seed), seed^0xb10cb10c)
-		p, err := Compile(res)
-		if err != nil {
-			t.Fatalf("seed %d: Compile: %v", seed, err)
-		}
 
 		// 0..20 workloads: seed 0 exercises the empty batch.
 		n := int(seed % 21)
@@ -66,16 +62,12 @@ func TestPropertyBlockBitIdentity(t *testing.T) {
 		}
 		want := make(map[string]*core.Result, n)
 		for _, w := range base {
-			r, err := p.Eval(w.Inputs, nil)
-			if err != nil {
-				t.Fatalf("seed %d: scalar Eval(%s): %v", seed, w.Name, err)
-			}
-			want[w.Name] = r
+			want[w.Name] = reevaluated(t, res, w.Inputs)
 		}
 
 		for _, width := range blockWidths {
 			// Deterministic per-width shuffle: block boundaries land on
-			// different workloads than the scalar reference order.
+			// different workloads than the reference order.
 			ws := make([]Workload, n)
 			copy(ws, base)
 			rot := int(seed+uint64(width)) % max(n, 1)
@@ -93,11 +85,11 @@ func TestPropertyBlockBitIdentity(t *testing.T) {
 				ctxt := fmt.Sprintf("seed %d width %d workload %s", seed, width, batch.Names[i])
 				bitIdentical(t, ctxt, r.AVF, ref.AVF)
 				if len(r.Env) != len(ref.Env) {
-					t.Fatalf("%s: env has %d terms, scalar %d", ctxt, len(r.Env), len(ref.Env))
+					t.Fatalf("%s: env has %d terms, reference %d", ctxt, len(r.Env), len(ref.Env))
 				}
 				for id := range r.Env {
 					if math.Float64bits(r.Env[id]) != math.Float64bits(ref.Env[id]) {
-						t.Fatalf("%s: env term %d = %v, scalar %v", ctxt, id, r.Env[id], ref.Env[id])
+						t.Fatalf("%s: env term %d = %v, reference %v", ctxt, id, r.Env[id], ref.Env[id])
 					}
 				}
 			}
@@ -107,9 +99,9 @@ func TestPropertyBlockBitIdentity(t *testing.T) {
 
 // TestEvalBlockDirect drives Plan.EvalBlock through its exported surface
 // — EnvMatrix.ResetEnvs on prebuilt environments, explicit scratch and
-// output buffers — and checks bit-identity against evalEnv directly,
-// plus the shape-mismatch errors the engine relies on being errors
-// rather than panics.
+// output buffers — and checks bit-identity against pavf.Expr.Eval of
+// each lane's environment, plus the shape-mismatch errors the engine
+// relies on being errors rather than panics.
 func TestEvalBlockDirect(t *testing.T) {
 	a, res, in := solved(t, graphtest.Default(3), 7)
 	p, err := Compile(res)
@@ -146,10 +138,11 @@ func TestEvalBlockDirect(t *testing.T) {
 	if err := p.EvalBlock(&m, scratch, out); err != nil {
 		t.Fatalf("EvalBlock: %v", err)
 	}
-	single := make([]float64, p.NumSets())
 	avf := make([]float64, p.NumVerts())
 	for w, env := range envs {
-		p.evalEnv(env, single, avf)
+		for v := range avf {
+			avf[v] = res.Exprs[v].Eval(env)
+		}
 		bitIdentical(t, fmt.Sprintf("lane %d", w), out[w], avf)
 	}
 

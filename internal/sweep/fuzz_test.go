@@ -44,9 +44,9 @@ func FuzzCompilePlan(f *testing.F) {
 			t.Fatalf("plan covers %d of %d vertices", p.NumVerts(), a.G.NumVerts())
 		}
 		in2 := randomInputs(a, inputSeed^0x5bf03635)
-		got, err := p.Eval(in2, nil)
+		got, err := evalOne(p, in2)
 		if err != nil {
-			t.Fatalf("Eval: %v", err)
+			t.Fatalf("EvalBlockInto: %v", err)
 		}
 		if err := res.Reevaluate(in2); err != nil {
 			t.Fatalf("Reevaluate: %v", err)
@@ -75,7 +75,7 @@ func FuzzEnvMatrix(f *testing.F) {
 	f.Add(uint64(7), uint64(2), uint8(1), uint16(5), uint64(0x7ff0000000000000)) // +Inf
 	f.Add(uint64(9), uint64(3), uint8(4), uint16(1), math.Float64bits(-0.25))
 	f.Add(uint64(11), uint64(4), uint8(2), uint16(9), math.Float64bits(0.75)) // in range
-	f.Add(uint64(13), uint64(5), uint8(0), uint16(3), math.Float64bits(1.0)) // boundary
+	f.Add(uint64(13), uint64(5), uint8(0), uint16(3), math.Float64bits(1.0))  // boundary
 	f.Fuzz(func(t *testing.T, seed, inputSeed uint64, lanes uint8, portIdx uint16, valBits uint64) {
 		_, res, _ := solved(t, graphtest.Small(seed), inputSeed)
 		p, err := Compile(res)

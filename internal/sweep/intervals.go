@@ -6,7 +6,7 @@ package sweep
 // window's inputs are one more lane in the EnvMatrix — so a T-window
 // sweep costs one plan compile plus T lane evaluations, and every
 // window's result is bit-identical to a standalone single-window sweep
-// (the kernel contract EvalBlock == Eval, lane by lane).
+// (the kernel is bit-identical at every block width, lane by lane).
 
 import (
 	"context"
@@ -86,6 +86,27 @@ type IntervalResult struct {
 	Windows []WindowSpan
 	Results []*core.Result
 	Summary IntervalSummary
+}
+
+// NodeSeries returns each sequential node's AVF time series, keyed
+// "fub/node": one value per window, in window order. Window w's value
+// is bit-identical to Results[w].SeqAVFByNode()[key].
+func (r *IntervalResult) NodeSeries() map[string][]float64 {
+	if len(r.Results) == 0 {
+		return nil
+	}
+	nodes := r.Results[0].Analyzer.SeqIndex().Nodes
+	nw := len(r.Results)
+	buf := make([]float64, len(nodes)*nw)
+	out := make(map[string][]float64, len(nodes))
+	for i := range nodes {
+		series := buf[i*nw : (i+1)*nw : (i+1)*nw]
+		for w, res := range r.Results {
+			series[w] = nodes[i].MeanAVF(res.AVF)
+		}
+		out[nodes[i].Key] = series
+	}
+	return out
 }
 
 // IntervalBatch is the outcome of one interval sweep.

@@ -28,8 +28,8 @@ import (
 )
 
 // Plan is a compiled, immutable evaluation plan for one design. It is safe
-// for concurrent Eval calls: evaluation writes only into caller-provided
-// or freshly allocated buffers.
+// for concurrent EvalBlock calls: evaluation writes only into
+// caller-provided or freshly allocated buffers.
 type Plan struct {
 	// Analyzer is the design the plan was compiled for; environments are
 	// built against its term universe.
@@ -182,8 +182,8 @@ func (p *Plan) Raw() Raw {
 // structural invariant evaluation relies on — offsets monotone and in
 // range, per-set term IDs strictly ascending and inside a's term
 // universe, per-vertex indices in range — so a corrupted or adversarial
-// table is refused instead of producing out-of-range indexing at Eval
-// time. The returned equation slice is the plan's own (each Expr shares
+// table is refused instead of producing out-of-range indexing at
+// evaluation time. The returned equation slice is the plan's own (each Expr shares
 // the validated SetIDs backing array); a plan restored from the CSR
 // written by Raw is bit-identical in behavior to a fresh Compile. This
 // is the artifact-decode hot path: validation, set construction, and
@@ -280,67 +280,4 @@ func (p *Plan) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// evalEnv resolves every vertex AVF under env. scratch must have at least
-// NumSets entries; avf must have NumVerts entries. Subterm evaluation and
-// the final MIN replay pavf's arithmetic exactly (same order, same cap),
-// so results are bit-identical to Expr.Eval.
-func (p *Plan) evalEnv(env pavf.Env, scratch, avf []float64) {
-	for s := 0; s < len(p.setOff)-1; s++ {
-		sum := 0.0
-		for _, id := range p.setIDs[p.setOff[s]:p.setOff[s+1]] {
-			sum += env[id]
-			if sum >= 1 {
-				sum = 1
-				break
-			}
-		}
-		scratch[s] = sum
-	}
-	for v := range avf {
-		f, b := 1.0, 1.0
-		if i := p.fwdIdx[v]; i >= 0 {
-			f = scratch[i]
-		}
-		if i := p.bwdIdx[v]; i >= 0 {
-			b = scratch[i]
-		}
-		if b < f {
-			f = b
-		}
-		avf[v] = f
-	}
-}
-
-// Eval evaluates one workload through the plan, returning a full
-// core.Result (closed forms shared with the compiled source, AVF vector
-// fresh). scratch may be nil or a reusable buffer of at least NumSets
-// entries. Like the blocked kernel (EvalBlock), it validates the built
-// environment, so a NaN smuggled past BuildEnv's clamping is rejected
-// here instead of propagating into AVFs — the scalar and blocked paths
-// accept exactly the same inputs.
-func (p *Plan) Eval(in *core.Inputs, scratch []float64) (*core.Result, error) {
-	env, err := p.Analyzer.CheckedEnv(in)
-	if err != nil {
-		return nil, err
-	}
-	if err := env.Validate(); err != nil {
-		return nil, err
-	}
-	if len(scratch) < p.NumSets() {
-		scratch = make([]float64, p.NumSets())
-	}
-	avf := make([]float64, p.NumVerts())
-	p.evalEnv(env, scratch, avf)
-	return &core.Result{
-		Analyzer:   p.Analyzer,
-		Inputs:     in,
-		Env:        env,
-		Exprs:      p.exprs,
-		AVF:        avf,
-		Visited:    p.visited,
-		Iterations: 1,
-		Converged:  true,
-	}, nil
 }

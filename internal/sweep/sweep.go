@@ -21,15 +21,15 @@ type Options struct {
 	// ChunkSize is the number of workloads one worker claims at a time
 	// (the shard granularity). 0 picks a size that gives each worker ~4
 	// claims per batch, amortizing the claim overhead while keeping the
-	// tail balanced. When the blocked kernel is active the chunk is
-	// rounded up to a multiple of BlockSize so claims shard by whole
-	// blocks and only the batch tail runs ragged.
+	// tail balanced. The chunk is rounded up to a multiple of BlockSize
+	// so claims shard by whole blocks and only the batch tail runs
+	// ragged.
 	ChunkSize int
-	// BlockSize is the blocked-kernel lane width: workloads evaluated
-	// together per plan traversal (Plan.EvalBlock). 0 uses
-	// DefaultBlockSize (16); 1 (or any negative value) forces the scalar
-	// per-workload path. Results are bit-identical either way — the knob
-	// trades scratch-matrix footprint against index-traffic amortization.
+	// BlockSize is the kernel's lane width: workloads evaluated together
+	// per plan traversal (Plan.EvalBlock). 0 uses DefaultBlockSize (16);
+	// 1 or any negative value evaluates one workload per block. Results
+	// are bit-identical at every width — the knob trades scratch-matrix
+	// footprint against index-traffic amortization.
 	BlockSize int
 	// CacheSize bounds the compiled-plan LRU (by design fingerprint).
 	// 0 means 8.
@@ -210,12 +210,10 @@ func (e *Engine) SweepContext(ctx context.Context, res *core.Result, workloads [
 			chunk = 1
 		}
 	}
-	if block > 1 {
-		// Shard by whole blocks: every claim except the batch tail is a
-		// multiple of the lane width, so ragged blocks appear at most
-		// once per sweep instead of once per claim.
-		chunk = (chunk + block - 1) / block * block
-	}
+	// Shard by whole blocks: every claim except the batch tail is a
+	// multiple of the lane width, so ragged blocks appear at most once
+	// per sweep instead of once per claim.
+	chunk = (chunk + block - 1) / block * block
 
 	sp := e.opts.Obs.StartSpanContext(ctx, "sweep.eval")
 	sp.SetAttr("workloads", n)
@@ -225,10 +223,7 @@ func (e *Engine) SweepContext(ctx context.Context, res *core.Result, workloads [
 	// Resolved once per batch (one registry-map lookup), observed once
 	// per kernel invocation — the per-block cost inside the worker loop
 	// is two clock reads and one histogram mutex.
-	var blockHist *obs.Histogram
-	if block > 1 {
-		blockHist = e.opts.Obs.FixedHistogram("sweep.block_eval_seconds", obs.LatencyBuckets)
-	}
+	blockHist := e.opts.Obs.FixedHistogram("sweep.block_eval_seconds", obs.LatencyBuckets)
 	start := time.Now()
 
 	batch := &Batch{
@@ -246,16 +241,11 @@ func (e *Engine) SweepContext(ctx context.Context, res *core.Result, workloads [
 	var firstErr atomic.Value // error
 	run := func() {
 		// Per-worker scratch, pooled across every claim the worker makes:
-		// the scalar path needs one subterm row, the blocked path a
-		// NumSets x block matrix plus the worker's own EnvMatrix (its SoA
-		// buffer is reused across blocks; the per-lane environments are
-		// fresh because Results adopt them).
+		// a NumSets x block matrix plus the worker's own EnvMatrix (its
+		// SoA buffer is reused across blocks; the per-lane environments
+		// are fresh because Results adopt them).
 		var m EnvMatrix
-		scratchLanes := 1
-		if block > 1 {
-			scratchLanes = block
-		}
-		scratch := make([]float64, plan.ScratchLen(scratchLanes))
+		scratch := make([]float64, plan.ScratchLen(block))
 		for {
 			select {
 			case <-done:
@@ -271,29 +261,15 @@ func (e *Engine) SweepContext(ctx context.Context, res *core.Result, workloads [
 			if hi > n {
 				hi = n
 			}
-			if block > 1 {
-				for b := lo; b < hi; b += block {
-					be := b + block
-					if be > hi {
-						be = hi
-					}
-					bstart := time.Now()
-					if err := plan.EvalBlockInto(workloads[b:be], &m, scratch, batch.Results[b:be]); err != nil {
-						firstErr.CompareAndSwap(nil, err)
-						return
-					}
-					blockHist.Observe(time.Since(bstart).Seconds())
-					blocks.Add(1)
-				}
-				continue
-			}
-			for i := lo; i < hi; i++ {
-				r, err := plan.Eval(workloads[i].Inputs, scratch)
-				if err != nil {
-					firstErr.CompareAndSwap(nil, fmt.Errorf("sweep: workload %q: %w", workloads[i].Name, err))
+			for b := lo; b < hi; b += block {
+				be := min(b+block, hi)
+				bstart := time.Now()
+				if err := plan.EvalBlockInto(workloads[b:be], &m, scratch, batch.Results[b:be]); err != nil {
+					firstErr.CompareAndSwap(nil, err)
 					return
 				}
-				batch.Results[i] = r
+				blockHist.Observe(time.Since(bstart).Seconds())
+				blocks.Add(1)
 			}
 		}
 	}
@@ -322,14 +298,10 @@ func (e *Engine) SweepContext(ctx context.Context, res *core.Result, workloads [
 	e.opts.Obs.Counter("sweep.workloads").Add(int64(n))
 	e.opts.Obs.Counter("sweep.batches").Inc()
 	e.opts.Obs.Gauge("sweep.workloads_per_sec").Set(batch.WorkloadsPerSec())
-	if block > 1 {
-		// Kernel telemetry: which evaluation path served the batch, how
-		// many kernel invocations it took, and the blocked throughput.
-		e.opts.Obs.Counter("sweep.workloads_blocked").Add(int64(n))
-		e.opts.Obs.Counter("sweep.block_evals").Add(blocks.Load())
-		e.opts.Obs.Gauge("sweep.kernel_workloads_per_sec").Set(batch.WorkloadsPerSec())
-	} else {
-		e.opts.Obs.Counter("sweep.workloads_scalar").Add(int64(n))
-	}
+	// Kernel telemetry: how many kernel invocations the batch took, and
+	// the kernel throughput.
+	e.opts.Obs.Counter("sweep.workloads_blocked").Add(int64(n))
+	e.opts.Obs.Counter("sweep.block_evals").Add(blocks.Load())
+	e.opts.Obs.Gauge("sweep.kernel_workloads_per_sec").Set(batch.WorkloadsPerSec())
 	return batch, nil
 }

@@ -63,6 +63,26 @@ func randomInputs(a *core.Analyzer, seed uint64) *core.Inputs {
 	return in
 }
 
+// reevaluated is the tests' oracle: Result.Reevaluate on a copy of res,
+// i.e. pavf.Expr.Eval of every closed form under in — independent of the
+// plan's set deduplication and of the kernel.
+func reevaluated(t testing.TB, res *core.Result, in *core.Inputs) *core.Result {
+	t.Helper()
+	c := *res
+	c.AVF = make([]float64, len(res.AVF))
+	if err := c.Reevaluate(in); err != nil {
+		t.Fatalf("Reevaluate: %v", err)
+	}
+	return &c
+}
+
+// evalOne evaluates one workload through the kernel as a width-1 block.
+func evalOne(p *Plan, in *core.Inputs) (*core.Result, error) {
+	dst := make([]*core.Result, 1)
+	err := p.EvalBlockInto([]Workload{{Name: "w", Inputs: in}}, nil, nil, dst)
+	return dst[0], err
+}
+
 // TestPlanDedup: compilation must actually share term sets — the whole
 // point of the plan — and account for every known equation side.
 func TestPlanDedup(t *testing.T) {
@@ -106,17 +126,15 @@ func TestPlanEvalMatchesReevaluate(t *testing.T) {
 	}
 	for seed := uint64(2); seed < 6; seed++ {
 		in := randomInputs(a, seed)
-		got, err := p.Eval(in, nil)
+		got, err := evalOne(p, in)
 		if err != nil {
-			t.Fatalf("Eval: %v", err)
+			t.Fatalf("EvalBlockInto: %v", err)
 		}
-		if err := res.Reevaluate(in); err != nil {
-			t.Fatalf("Reevaluate: %v", err)
-		}
+		want := reevaluated(t, res, in)
 		for v := range got.AVF {
-			if got.AVF[v] != res.AVF[v] {
+			if got.AVF[v] != want.AVF[v] {
 				t.Fatalf("seed %d vertex %d: plan %v != reevaluate %v (must be bit-identical)",
-					seed, v, got.AVF[v], res.AVF[v])
+					seed, v, got.AVF[v], want.AVF[v])
 			}
 		}
 	}
@@ -138,15 +156,16 @@ func TestPlanEvalRejectsForeignInputs(t *testing.T) {
 		bad.WritePorts[sp] = v
 	}
 	bad.ReadPorts[core.StructPort{Struct: "NoSuchStruct", Port: "rd"}] = 0.5
-	if _, err := p.Eval(bad, nil); err == nil {
-		t.Fatal("Eval accepted inputs for a port the design does not have")
+	if _, err := evalOne(p, bad); err == nil {
+		t.Fatal("EvalBlockInto accepted inputs for a port the design does not have")
 	} else if !strings.Contains(err.Error(), "NoSuchStruct") {
 		t.Fatalf("error does not name the stray port: %v", err)
 	}
 }
 
-// TestEngineSweep: batch results must match per-workload plan evaluation,
-// align with submitted order, and survive both serial and parallel modes.
+// TestEngineSweep: batch results must match per-workload re-evaluation
+// of the closed forms, align with submitted order, and survive both
+// serial and parallel modes.
 func TestEngineSweep(t *testing.T) {
 	a, res, _ := solved(t, graphtest.Default(17), 1)
 	var ws []Workload
@@ -157,16 +176,8 @@ func TestEngineSweep(t *testing.T) {
 		})
 	}
 	ref := make([][]float64, len(ws))
-	p, err := Compile(res)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
 	for i, w := range ws {
-		r, err := p.Eval(w.Inputs, nil)
-		if err != nil {
-			t.Fatalf("Eval: %v", err)
-		}
-		ref[i] = r.AVF
+		ref[i] = reevaluated(t, res, w.Inputs).AVF
 	}
 	for _, workers := range []int{1, 4} {
 		eng := New(Options{Workers: workers, ChunkSize: 2})
