@@ -22,8 +22,7 @@
 //	POST /v1/designs/{name}/edit  routed to the owner, replicated likewise
 //	POST /v1/sweep       routed to the design's owner
 //	POST /v1/sweep/intervals  routed to the design's owner
-//	POST /v1/harden      routed to the owner; multi-budget sweeps split
-//	                     across the top-2 candidates and merge
+//	POST /v1/harden      routed to the design's owner
 //	GET  /v1/artifacts/{fingerprint}  routed by artifact fingerprint
 //
 // Every proxied request carries a W3C traceparent header, so a client's

@@ -4,16 +4,17 @@
 // is re-evaluated through the plan on a bounded worker pool — the
 // compile-once / serve-many workflow of the paper's §5.1.
 //
-// Output is one JSON document: plan statistics plus, per workload, the
-// design summary and (with -nodes) per-sequential-node seqAVFs.
+// Output is one JSON document, the same body POST /v1/sweep answers:
+// plan statistics plus, per workload, the design summary and (with
+// -nodes) per-sequential-node seqAVFs.
 //
 // With -windows the matched files are parsed as multi-window interval
 // tables instead (see internal/pavfio: "# window <idx> <start> <end>"
 // sections), every window of every workload is evaluated as one lane of
-// a single blocked batch, and the report carries each workload's
-// per-window chip-AVF time series with its summary statistics (peak
-// window, peak/mean ratio) — and, with -nodes, the per-sequential-node
-// series.
+// a single blocked batch, and the report (the POST /v1/sweep/intervals
+// body) carries each workload's per-window chip-AVF time series with
+// its summary statistics (peak window, peak/mean ratio) — and, with
+// -nodes, the per-sequential-node series.
 //
 // Usage:
 //
@@ -42,6 +43,7 @@ import (
 	"seqavf/internal/netlist"
 	"seqavf/internal/obs"
 	"seqavf/internal/pavfio"
+	"seqavf/internal/server"
 	"seqavf/internal/sweep"
 )
 
@@ -73,53 +75,6 @@ func main() {
 		err = ob.Finish()
 	}
 	cliutil.Exit("sweeprun", err)
-}
-
-// report is the JSON document sweeprun emits.
-type report struct {
-	Design    string           `json:"design"`
-	Workloads int              `json:"workloads"`
-	Plan      sweep.Stats      `json:"plan"`
-	Block     int              `json:"block"`
-	ElapsedMS float64          `json:"eval_elapsed_ms"`
-	PerSec    float64          `json:"workloads_per_sec"`
-	Results   []workloadReport `json:"results"`
-}
-
-type workloadReport struct {
-	Name    string             `json:"name"`
-	Summary core.Summary       `json:"summary"`
-	SeqAVF  map[string]float64 `json:"seqavf,omitempty"`
-}
-
-// intervalReport is the JSON document sweeprun emits with -windows.
-type intervalReport struct {
-	Design    string                   `json:"design"`
-	Workloads int                      `json:"workloads"`
-	Windows   int                      `json:"windows_evaluated"`
-	Plan      sweep.Stats              `json:"plan"`
-	Block     int                      `json:"block"`
-	ElapsedMS float64                  `json:"eval_elapsed_ms"`
-	Results   []intervalWorkloadReport `json:"results"`
-}
-
-// intervalWorkloadReport is one workload's AVF time series: window
-// geometry, per-window chip AVF, peak statistics, and (with -nodes) the
-// per-sequential-node series, each index-aligned with Windows.
-type intervalWorkloadReport struct {
-	Name             string               `json:"name"`
-	Windows          []windowSpan         `json:"windows"`
-	ChipAVF          []float64            `json:"chip_avf"`
-	TimeWeightedMean float64              `json:"time_weighted_mean"`
-	PeakWindow       int                  `json:"peak_window"`
-	PeakChipAVF      float64              `json:"peak_chip_avf"`
-	PeakToMean       float64              `json:"peak_to_mean"`
-	SeqAVF           map[string][]float64 `json:"seqavf,omitempty"`
-}
-
-type windowSpan struct {
-	Start uint64 `json:"start"`
-	End   uint64 `json:"end"`
 }
 
 func run(reg *obs.Registry, arts *cliutil.Artifacts, nlPath, dir, glob string, workers, chunk int, loop, pseudo float64, nodes, windows bool, out string) error {
@@ -227,23 +182,7 @@ func run(reg *obs.Registry, arts *cliutil.Artifacts, nlPath, dir, glob string, w
 		return err
 	}
 
-	rep := report{
-		Design:    d.Name,
-		Workloads: len(batch.Results),
-		Plan:      batch.Plan.Stats(),
-		Block:     sweep.DefaultBlockSize,
-		ElapsedMS: float64(batch.Elapsed.Microseconds()) / 1e3,
-		PerSec:    batch.WorkloadsPerSec(),
-		Results:   make([]workloadReport, len(batch.Results)),
-	}
-	for i, r := range batch.Results {
-		wr := workloadReport{Name: batch.Names[i], Summary: r.Summarize()}
-		if nodes {
-			wr.SeqAVF = r.SeqAVFByNode()
-		}
-		rep.Results[i] = wr
-	}
-
+	rep := server.NewSweepResponse(d.Name, batch, nodes)
 	if err := emitReport(out, rep); err != nil {
 		return err
 	}
@@ -272,39 +211,13 @@ func runIntervals(ctx context.Context, eng *sweep.Engine, res *core.Result, desi
 	if err != nil {
 		return err
 	}
-	rep := intervalReport{
-		Design:    design,
-		Workloads: len(batch.Workloads),
-		Windows:   batch.WindowsEvaluated,
-		Plan:      batch.Plan.Stats(),
-		Block:     sweep.DefaultBlockSize,
-		ElapsedMS: float64(batch.Elapsed.Microseconds()) / 1e3,
-		Results:   make([]intervalWorkloadReport, len(batch.Workloads)),
-	}
-	for i, iw := range batch.Workloads {
-		wr := intervalWorkloadReport{
-			Name:             iw.Name,
-			Windows:          make([]windowSpan, len(iw.Windows)),
-			ChipAVF:          iw.Summary.ChipAVF,
-			TimeWeightedMean: iw.Summary.TimeWeightedMean,
-			PeakWindow:       iw.Summary.PeakWindow,
-			PeakChipAVF:      iw.Summary.PeakChipAVF,
-			PeakToMean:       iw.Summary.PeakToMean,
-		}
-		for wi, span := range iw.Windows {
-			wr.Windows[wi] = windowSpan{Start: span.Start, End: span.End}
-		}
-		if nodes {
-			wr.SeqAVF = iw.NodeSeries()
-		}
-		rep.Results[i] = wr
-	}
+	rep := server.NewIntervalSweepResponse(design, batch, nodes)
 	if err := emitReport(out, rep); err != nil {
 		return err
 	}
 	if out != "" {
 		fmt.Fprintf(os.Stderr, "sweeprun: %d workloads, %d windows evaluated -> %s\n",
-			rep.Workloads, rep.Windows, out)
+			rep.Workloads, rep.WindowsEvaluated, out)
 	}
 	return nil
 }

@@ -17,11 +17,7 @@ type SeqNode struct {
 // SumAVF is the node's AVF mass under avf: its bit AVFs summed in
 // vertex order.
 func (n *SeqNode) SumAVF(avf []float64) float64 {
-	sum := 0.0
-	for _, v := range n.Bits {
-		sum += avf[v]
-	}
-	return sum
+	return sumAVF(avf, n.Bits)
 }
 
 // MeanAVF is the node's average bit AVF: SumAVF over the bit count.
@@ -30,8 +26,8 @@ func (n *SeqNode) MeanAVF(avf []float64) float64 {
 }
 
 // SeqIndex is a design's sequential-bit index: every statistic reported
-// per sequential bit or per sequential node reads it instead of walking
-// the vertices. It is structural (independent of inputs) and read-only.
+// per sequential bit, per sequential node or per FUB reads it instead of
+// walking the vertices. It is structural (independent of inputs) and read-only.
 type SeqIndex struct {
 	// Bits lists every sequential bit (see Result.IsSequentialBit) in
 	// vertex order.
@@ -40,24 +36,61 @@ type SeqIndex struct {
 	Nodes []SeqNode
 	// ByKey maps a node's Key to its position in Nodes.
 	ByKey map[string]int
+	// Fubs holds each FUB's statistics bits, in FUB declaration order.
+	Fubs []FubBits
+}
+
+// FubBits is one FUB's slice of the index: the bits Result.FubStats and
+// Result.VisitedFraction read, each list in vertex order so per-FUB sums
+// keep the order a vertex walk would give them.
+type FubBits struct {
+	// Bits lists the analyzable bits (neither debug nor constant),
+	// combinational and sequential alike; structure ports count too.
+	Bits []graph.VertexID
+	// Seq lists the sequential bits among Bits.
+	Seq []graph.VertexID
+	// Consts lists the constant bits: not analyzable, but counted by
+	// VisitedFraction, whose domain is every non-debug vertex.
+	Consts []graph.VertexID
+	// Loop and Ctrl count the loop-boundary and control-register bits
+	// among Seq.
+	Loop, Ctrl int
 }
 
 // SeqIndex returns the analyzer's sequential-bit index, built on first
 // use and shared by every result on this analyzer.
 func (a *Analyzer) SeqIndex() *SeqIndex {
 	a.seqOnce.Do(func() {
-		x := &SeqIndex{ByKey: make(map[string]int)}
+		x := &SeqIndex{ByKey: make(map[string]int), Fubs: make([]FubBits, len(a.G.FubNames))}
 		// A node's bits are adjacent vertices, so the key is built and
 		// looked up once per run of bits, not once per bit.
 		var last *netlist.Node
 		lastFub, ni := int32(-1), -1
 		for v := 0; v < a.G.NumVerts(); v++ {
 			id := graph.VertexID(v)
+			vx := &a.G.Verts[v]
+			fb := &x.Fubs[vx.Fub]
+			role := a.roles[v]
+			switch role {
+			case RoleDebug:
+				continue
+			case RoleConst:
+				fb.Consts = append(fb.Consts, id)
+				continue
+			}
+			fb.Bits = append(fb.Bits, id)
 			if !a.isSeqBit(id) {
 				continue
 			}
+			fb.Seq = append(fb.Seq, id)
+			switch role {
+			case RoleLoop:
+				fb.Loop++
+			case RoleControl:
+				fb.Ctrl++
+			}
 			x.Bits = append(x.Bits, id)
-			if vx := &a.G.Verts[v]; vx.Node != last || vx.Fub != lastFub {
+			if vx.Node != last || vx.Fub != lastFub {
 				last, lastFub = vx.Node, vx.Fub
 				key := a.nodeKey(id)
 				var ok bool

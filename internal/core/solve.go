@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"seqavf/internal/graph"
-	"seqavf/internal/netlist"
 	"seqavf/internal/obs"
 	"seqavf/internal/pavf"
 )
@@ -348,20 +347,29 @@ func (r *Result) Equation(v graph.VertexID) string {
 // VisitedFraction returns the share of analyzable vertices reached by a
 // walk (debug-stripped vertices are excluded from the denominator).
 func (r *Result) VisitedFraction() float64 {
+	if len(r.Visited) == 0 {
+		return 0
+	}
 	total, vis := 0, 0
-	for v := range r.Visited {
-		if r.Analyzer.roles[v] == RoleDebug {
-			continue
-		}
-		total++
-		if r.Visited[v] {
-			vis++
-		}
+	for _, fb := range r.Analyzer.SeqIndex().Fubs {
+		total += len(fb.Bits) + len(fb.Consts)
+		vis += countVisited(r.Visited, fb.Bits) + countVisited(r.Visited, fb.Consts)
 	}
 	if total == 0 {
 		return 0
 	}
 	return float64(vis) / float64(total)
+}
+
+// countVisited counts the vertices of vs that visited marks.
+func countVisited(visited []bool, vs []graph.VertexID) int {
+	n := 0
+	for _, v := range vs {
+		if visited[v] {
+			n++
+		}
+	}
+	return n
 }
 
 // IsSequentialBit reports whether vertex v is a sequential (flop/latch)
@@ -388,44 +396,39 @@ type FubStat struct {
 }
 
 // FubStats aggregates per-FUB statistics in FUB declaration order.
+// Node stats cover combinational and sequential bits alike (structure
+// ports are wires, counted as nodes).
 func (r *Result) FubStats() []FubStat {
 	a := r.Analyzer
-	out := make([]FubStat, len(a.G.FubNames))
-	for i, name := range a.G.FubNames {
-		out[i].Fub = name
-	}
-	for v := 0; v < a.G.NumVerts(); v++ {
-		role := a.roles[v]
-		if role == RoleDebug || role == RoleConst {
-			continue
+	fubs := a.SeqIndex().Fubs
+	out := make([]FubStat, len(fubs))
+	for i := range fubs {
+		fb := &fubs[i]
+		st := FubStat{
+			Fub:         a.G.FubNames[i],
+			SeqBits:     len(fb.Seq),
+			NodeBits:    len(fb.Bits),
+			LoopSeqBits: fb.Loop,
+			CtrlBits:    fb.Ctrl,
 		}
-		vx := &a.G.Verts[v]
-		st := &out[vx.Fub]
-		avf := r.AVF[v]
-		// Node stats cover combinational and sequential bits alike
-		// (structure ports are wires, counted as nodes).
-		st.NodeBits++
-		st.AvgNodeAVF += avf
-		if vx.Node.Kind == netlist.KindSeq {
-			st.SeqBits++
-			st.AvgSeqAVF += avf
-			if role == RoleLoop {
-				st.LoopSeqBits++
-			}
-			if role == RoleControl {
-				st.CtrlBits++
-			}
+		if st.SeqBits > 0 {
+			st.AvgSeqAVF = sumAVF(r.AVF, fb.Seq) / float64(st.SeqBits)
 		}
-	}
-	for i := range out {
-		if out[i].SeqBits > 0 {
-			out[i].AvgSeqAVF /= float64(out[i].SeqBits)
+		if st.NodeBits > 0 {
+			st.AvgNodeAVF = sumAVF(r.AVF, fb.Bits) / float64(st.NodeBits)
 		}
-		if out[i].NodeBits > 0 {
-			out[i].AvgNodeAVF /= float64(out[i].NodeBits)
-		}
+		out[i] = st
 	}
 	return out
+}
+
+// sumAVF sums avf over vs in order.
+func sumAVF(avf []float64, vs []graph.VertexID) float64 {
+	sum := 0.0
+	for _, v := range vs {
+		sum += avf[v]
+	}
+	return sum
 }
 
 // Summary aggregates design-wide statistics.

@@ -117,8 +117,7 @@ func (g *Gateway) Replicas() []string { return append([]string(nil), g.cfg.Repli
 //	POST /v1/designs/{name}/edit — routed to the owner, then replicated
 //	POST /v1/sweep       — routed to the design's owner
 //	POST /v1/sweep/intervals — routed to the design's owner
-//	POST /v1/harden      — routed to the owner; multi-budget sweeps are
-//	                       split across the top-2 candidates and merged
+//	POST /v1/harden      — routed to the design's owner
 //	GET  /v1/artifacts/{fingerprint} — routed by artifact fingerprint
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -259,8 +258,7 @@ func (g *Gateway) forward(ctx context.Context, w http.ResponseWriter, key, metho
 
 // routeByDesign returns the handler for a POST whose JSON envelope
 // names the design that routes it (/v1/sweep, /v1/sweep/intervals,
-// /v1/harden). Only the routing key — and, for harden, the budget list
-// the top-2 fan-out splits — is decoded here; the owning replica
+// /v1/harden). Only the routing key is decoded here; the owning replica
 // re-decodes and fully validates the envelope.
 func (g *Gateway) routeByDesign(endpoint string, requests *obs.Counter) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -273,8 +271,7 @@ func (g *Gateway) routeByDesign(endpoint string, requests *obs.Counter) http.Han
 			return
 		}
 		var env struct {
-			Design  string    `json:"design"`
-			Budgets []float64 `json:"budgets"`
+			Design string `json:"design"`
 		}
 		if err := json.Unmarshal(body, &env); err != nil {
 			httpx.WriteError(w, g.errs, http.StatusBadRequest, fmt.Errorf("decoding request: %v", err))
@@ -285,9 +282,6 @@ func (g *Gateway) routeByDesign(endpoint string, requests *obs.Counter) http.Han
 			return
 		}
 		sp.SetAttr("design", env.Design)
-		if endpoint == "/v1/harden" && g.hardenFanout(ctx, w, env.Design, env.Budgets, body) {
-			return
-		}
 		g.forward(ctx, w, env.Design, http.MethodPost, endpoint, "application/json", body)
 	}
 }

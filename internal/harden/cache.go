@@ -146,20 +146,15 @@ func CachedTermDerivs(p *sweep.Plan, env pavf.Env, store SensStore) (*Vector, bo
 			}
 		}
 	}
-	deriv, err := TermDerivs(p, env)
-	if err != nil {
-		return nil, false, err
-	}
-	seq := p.Analyzer.SeqIndex().Bits
-	avf, err := evalEnvOnce(p, env)
+	deriv, chip, err := termDerivs(p, env)
 	if err != nil {
 		return nil, false, err
 	}
 	v := &Vector{
 		Fingerprint: fp,
 		EnvHash:     eh,
-		SeqBits:     len(seq),
-		ChipAVF:     chipAVF(avf, seq),
+		SeqBits:     len(p.Analyzer.SeqIndex().Bits),
+		ChipAVF:     chip,
 		Deriv:       deriv,
 	}
 	if store != nil {

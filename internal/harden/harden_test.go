@@ -296,10 +296,7 @@ func TestResidualBitConsistency(t *testing.T) {
 		t.Fatal("budget 40 chose nothing")
 	}
 	// The independent path: blocked-kernel re-sweep, zero, Summarize.
-	avf, err := evalEnvOnce(p, env)
-	if err != nil {
-		t.Fatalf("evalEnvOnce: %v", err)
-	}
+	avf := evalOneLane(t, p, env)
 	for _, c := range plan.Chosen {
 		ci := m.index[c.Key]
 		for _, v := range m.verts[ci] {

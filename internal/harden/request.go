@@ -1,20 +1,27 @@
 // Wire types for POST /v1/harden and cmd/hardentool: a strict JSON
 // request parser (unknown fields, non-finite numbers, and out-of-range
 // budgets are rejected with field-level errors — the fuzz target's
-// contract) and the response shape both ends share.
+// contract), the response shape both ends share, and Run, the one
+// function both call to produce it.
 
 package harden
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
+
+	"seqavf/internal/core"
+	"seqavf/internal/obs"
+	"seqavf/internal/pavf"
+	"seqavf/internal/sweep"
 )
 
 const (
 	// MaxBudgets bounds one request's budget sweep; a bigger sweep
-	// belongs in multiple requests (and the gateway fans even these out).
+	// belongs in multiple requests.
 	MaxBudgets = 64
 	// MaxTopTerms bounds the term-sensitivity report length.
 	MaxTopTerms = 10000
@@ -111,4 +118,103 @@ type Response struct {
 	// TopTerms, when requested, ranks pAVF terms by |∂chipAVF/∂term|.
 	TopTerms  []TermSensitivity `json:"top_terms,omitempty"`
 	ElapsedMS float64           `json:"elapsed_ms"`
+}
+
+// Run answers one harden request against the solved design res: the
+// single producer behind POST /v1/harden and cmd/hardentool. With
+// workloads, node gains are computed on the mean AVF across them (one
+// blocked sweep through eng, whose Results carry the checked env each
+// workload was evaluated at, so the mean env needs no rebuild); gains are
+// linear in AVF, so the mean-AVF plan minimizes the mean residual chip
+// AVF over the workload set. Without workloads the optimizer runs on res
+// itself. Term sensitivities (TopTerms > 0) come from store's .sens cache
+// when store is non-nil. reg receives harden.optimize_seconds and the
+// harden.sens_cache_* counters; the optimize span hangs off ctx's span.
+// ElapsedMS is left for the caller, which knows when the request began.
+func Run(ctx context.Context, eng *sweep.Engine, res *core.Result, req *Request, ws []sweep.Workload,
+	store SensStore, reg *obs.Registry) (*Response, error) {
+	agg := res
+	var (
+		env   pavf.Env
+		names []string
+	)
+	if len(ws) == 0 {
+		var err error
+		if env, err = res.Analyzer.CheckedEnv(res.Inputs); err != nil {
+			return nil, fmt.Errorf("design env: %v", err)
+		}
+	} else {
+		batch, err := eng.SweepContext(ctx, res, ws)
+		if err != nil {
+			return nil, err
+		}
+		mean := make([]float64, len(res.AVF))
+		env = make(pavf.Env, len(batch.Results[0].Env))
+		for _, r := range batch.Results {
+			for v, x := range r.AVF {
+				mean[v] += x
+			}
+			for t, x := range r.Env {
+				env[t] += x
+			}
+		}
+		n := float64(len(ws))
+		for v := range mean {
+			mean[v] /= n
+		}
+		for t := range env {
+			env[t] /= n
+		}
+		cp := *res
+		cp.AVF = mean
+		agg = &cp
+		names = batch.Names
+	}
+
+	model, err := NewModel(agg, req.Costs)
+	if err != nil {
+		return nil, err
+	}
+	osp := obs.SpanFromContext(ctx).Child("harden.optimize")
+	plans, err := model.Sweep(req.Budgets, req.Solver)
+	osp.SetAttr("budgets", len(req.Budgets))
+	osp.End()
+	reg.FixedHistogram("harden.optimize_seconds", obs.LatencyBuckets).Observe(osp.Duration().Seconds())
+	if err != nil {
+		return nil, err
+	}
+
+	resp := &Response{
+		Design:      req.Design,
+		Workloads:   names,
+		SeqBits:     model.SeqBits(),
+		Candidates:  len(model.Candidates()),
+		BaseChipAVF: model.Base().WeightedSeqAVF,
+		Plans:       plans,
+	}
+	if req.TopTerms > 0 {
+		// The gradient is taken at the (mean) environment; the plan comes
+		// from the engine's LRU, so a warm design pays nothing for it.
+		plan, err := eng.PlanContext(ctx, res)
+		if err != nil {
+			return nil, fmt.Errorf("compiling plan: %v", err)
+		}
+		vec, hit, err := CachedTermDerivs(plan, env, store)
+		if err != nil {
+			return nil, fmt.Errorf("term sensitivities: %v", err)
+		}
+		if hit {
+			reg.Counter("harden.sens_cache_hits").Inc()
+			resp.SensCache = "hit"
+		} else {
+			reg.Counter("harden.sens_cache_misses").Inc()
+			resp.SensCache = "miss"
+		}
+		ranked := RankDerivs(res.Analyzer.Universe(), vec.Deriv)
+		if len(ranked) > req.TopTerms {
+			ranked = ranked[:req.TopTerms]
+		}
+		resp.TopTerms = ranked
+	}
+	return resp, nil
 }

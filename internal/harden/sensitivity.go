@@ -63,37 +63,26 @@ func chipAVF(avf []float64, seq []graph.VertexID) float64 {
 // set contributes slope 0, a tie resolves to the forward side, matching
 // how the kernel breaks those ties.
 func TermDerivs(p *sweep.Plan, env pavf.Env) ([]float64, error) {
-	a := p.Analyzer
-	if want := a.Universe().Len(); len(env) != want {
-		return nil, fmt.Errorf("harden: env has %d terms but design %q has a universe of %d",
-			len(env), a.G.Design.Name, want)
-	}
-	if err := env.Validate(); err != nil {
-		return nil, err
+	deriv, _, err := termDerivs(p, env)
+	return deriv, err
+}
+
+// termDerivs is TermDerivs plus the chip AVF at env. Both read the
+// kernel's own set pass (Plan.SetSums), so "capped" means exactly what
+// the kernel saw — a set sum of 1.0 — and each sequential bit's MIN is
+// the value EvalBlock writes for it; the chip AVF sums those MINs in
+// SeqIndex order, as chipAVF does over a kernel AVF vector.
+func termDerivs(p *sweep.Plan, env pavf.Env) ([]float64, float64, error) {
+	value, err := p.SetSums(env)
+	if err != nil {
+		return nil, 0, fmt.Errorf("harden: %w", err)
 	}
 	raw := p.Raw()
-	nSets := p.NumSets()
-
-	// Per-set capped sums, replaying the kernel's arithmetic (ascending
-	// IDs, early break at >= 1) so "capped" means exactly what Eval saw.
-	value := make([]float64, nSets)
-	capped := make([]bool, nSets)
-	for s := 0; s < nSets; s++ {
-		sum := 0.0
-		for _, id := range raw.SetIDs[raw.SetOff[s]:raw.SetOff[s+1]] {
-			sum += env[id]
-			if sum >= 1 {
-				sum = 1
-				capped[s] = true
-				break
-			}
-		}
-		value[s] = sum
-	}
 
 	// Count, per set, the sequential bits whose MIN it wins uncapped.
-	seq := a.SeqIndex().Bits
-	wins := make([]int64, nSets)
+	seq := p.Analyzer.SeqIndex().Bits
+	wins := make([]int64, len(value))
+	sum := 0.0
 	for _, v := range seq {
 		fi, bi := raw.FwdIdx[v], raw.BwdIdx[v]
 		f, b := 1.0, 1.0
@@ -104,44 +93,37 @@ func TermDerivs(p *sweep.Plan, env pavf.Env) ([]float64, error) {
 			b = value[bi]
 		}
 		// Kernel tie-break: the backward side wins only strictly (b < f).
+		// Then b < f <= 1, so the backward set is known and uncapped.
 		if b < f {
-			if bi >= 0 && !capped[bi] {
-				wins[bi]++
+			sum += b
+			wins[bi]++
+		} else {
+			sum += f
+			if f < 1 {
+				wins[fi]++
 			}
-		} else if fi >= 0 && !capped[fi] {
-			wins[fi]++
 		}
 	}
 
 	deriv := make([]float64, len(env))
 	if len(seq) == 0 {
-		return deriv, nil
+		return deriv, 0, nil
 	}
 	n := float64(len(seq))
-	for s := 0; s < nSets; s++ {
-		if wins[s] == 0 {
+	for s, w := range wins {
+		if w == 0 {
 			continue
 		}
-		w := float64(wins[s]) / n
+		d := float64(w) / n
 		for _, id := range raw.SetIDs[raw.SetOff[s]:raw.SetOff[s+1]] {
-			deriv[id] += w
+			deriv[id] += d
 		}
 	}
 	// Top is pinned to 1.0 by construction; it has no admissible
 	// perturbation (Env.Validate requires Top == 1), so its slot reports
 	// 0 regardless of membership. Sets containing Top are capped anyway.
 	deriv[pavf.Top] = 0
-	return deriv, nil
-}
-
-// TermSensitivities decorates TermDerivs with term identities, sorted by
-// |deriv| descending (ID ascending on ties). Top is omitted.
-func TermSensitivities(p *sweep.Plan, env pavf.Env) ([]TermSensitivity, error) {
-	deriv, err := TermDerivs(p, env)
-	if err != nil {
-		return nil, err
-	}
-	return RankDerivs(p.Analyzer.Universe(), deriv), nil
+	return deriv, sum / n, nil
 }
 
 // RankDerivs decorates a dense gradient (e.g. a cached Vector's Deriv)
@@ -161,21 +143,6 @@ func RankDerivs(u *pavf.Universe, deriv []float64) []TermSensitivity {
 		return out[i].ID < out[j].ID
 	})
 	return out
-}
-
-// evalEnvOnce runs the blocked kernel with a single lane — the raw AVF
-// vector of one environment.
-func evalEnvOnce(p *sweep.Plan, env pavf.Env) ([]float64, error) {
-	var m sweep.EnvMatrix
-	if err := m.ResetEnvs([]pavf.Env{env}); err != nil {
-		return nil, err
-	}
-	avf := make([]float64, p.NumVerts())
-	scratch := make([]float64, p.ScratchLen(1))
-	if err := p.EvalBlock(&m, scratch, [][]float64{avf}); err != nil {
-		return nil, err
-	}
-	return avf, nil
 }
 
 // FDTermDerivs estimates ∂chipAVF/∂env[t] for the given terms by central

@@ -8,6 +8,7 @@ import (
 	"seqavf/internal/core"
 	"seqavf/internal/graph"
 	"seqavf/internal/graph/graphtest"
+	"seqavf/internal/netlist"
 	"seqavf/internal/sweep"
 )
 
@@ -75,15 +76,78 @@ func walkSeqDecomposition(res *core.Result) core.Decomposition {
 	return d
 }
 
+// walkFubStats is Result.FubStats and Result.VisitedFraction as the
+// per-vertex walk they replaced: role and node-kind checks per vertex,
+// per-FUB sums in vertex order.
+func walkFubStats(res *core.Result) ([]core.FubStat, float64) {
+	a := res.Analyzer
+	out := make([]core.FubStat, len(a.G.FubNames))
+	total, vis := 0, 0
+	for v := 0; v < a.G.NumVerts(); v++ {
+		role := a.Role(graph.VertexID(v))
+		if role == core.RoleDebug {
+			continue
+		}
+		total++
+		if res.Visited[v] {
+			vis++
+		}
+		if role == core.RoleConst {
+			continue
+		}
+		vx := &a.G.Verts[v]
+		st := &out[vx.Fub]
+		st.NodeBits++
+		st.AvgNodeAVF += res.AVF[v]
+		if vx.Node.Kind == netlist.KindSeq {
+			st.SeqBits++
+			st.AvgSeqAVF += res.AVF[v]
+			if role == core.RoleLoop {
+				st.LoopSeqBits++
+			}
+			if role == core.RoleControl {
+				st.CtrlBits++
+			}
+		}
+	}
+	for i := range out {
+		out[i].Fub = a.G.FubNames[i]
+		if out[i].SeqBits > 0 {
+			out[i].AvgSeqAVF /= float64(out[i].SeqBits)
+		}
+		if out[i].NodeBits > 0 {
+			out[i].AvgNodeAVF /= float64(out[i].NodeBits)
+		}
+	}
+	if total == 0 {
+		return out, 0
+	}
+	return out, float64(vis) / float64(total)
+}
+
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // TestSeqIndexMatchesVertexWalk: on 200 seeded random designs, every
 // reader of the sequential-node index — SeqAVFByNode, harden's
-// candidates, SeqDecomposition, and the interval per-node series — is
-// bit-identical to the per-vertex walk it replaced.
+// candidates, SeqDecomposition, FubStats, VisitedFraction and the
+// interval per-node series — is bit-identical to the per-vertex walk it
+// replaced.
 func TestSeqIndexMatchesVertexWalk(t *testing.T) {
 	const seeds = 200
 	eng := sweep.New(sweep.Options{Workers: 1, CacheSize: 2})
+	checkFubStats := func(ctxt string, res *core.Result) {
+		t.Helper()
+		wfs, wvis := walkFubStats(res)
+		if gfs := res.FubStats(); fmt.Sprintf("%#v", gfs) != fmt.Sprintf("%#v", wfs) {
+			t.Fatalf("%s: FubStats %+v, walk %+v", ctxt, gfs, wfs)
+		}
+		if gvis := res.VisitedFraction(); !sameBits(gvis, wvis) {
+			t.Fatalf("%s: VisitedFraction %v, walk %v", ctxt, gvis, wvis)
+		}
+	}
+	// The random corpus has no constant bits; tinycore does.
+	_, tres, _ := tinycoreSolved(t)
+	checkFubStats("tinycore", tres)
 	for seed := uint64(0); seed < seeds; seed++ {
 		a, res, _ := solvedRand(t, graphtest.Small(seed), seed^0x5e91d)
 		keys, bits := walkSeqNodes(res)
@@ -124,6 +188,8 @@ func TestSeqIndexMatchesVertexWalk(t *testing.T) {
 				t.Fatalf("%s: index[%s] = %d, want %d", ctxt, key, m.index[key], i)
 			}
 		}
+
+		checkFubStats(ctxt, res)
 
 		wd, gd := walkSeqDecomposition(res), res.SeqDecomposition()
 		if !sameBits(gd.SDC, wd.SDC) || !sameBits(gd.DUE, wd.DUE) || !sameBits(gd.DCE, wd.DCE) {

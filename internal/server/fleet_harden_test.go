@@ -30,9 +30,9 @@ func waitForCount(t testing.TB, what string, fn func() bool) {
 }
 
 // TestFleetHardenThroughGateway drives POST /v1/harden end to end
-// through the gateway: a multi-budget sweep must split across the top-2
-// candidates, merge back in request order, and survive a concurrent
-// burst under the race detector.
+// through the gateway: a multi-budget sweep must come back with its
+// plans in request order and survive a concurrent burst under the race
+// detector.
 func TestFleetHardenThroughGateway(t *testing.T) {
 	res := solvedDesign(t, 93)
 	reps := newFleetReplicas(t, 3, 4, 0, nil)
@@ -50,15 +50,15 @@ func TestFleetHardenThroughGateway(t *testing.T) {
 	}
 	var hr harden.Response
 	if err := json.Unmarshal(raw, &hr); err != nil {
-		t.Fatalf("bad merged response: %v\n%s", err, raw)
+		t.Fatalf("bad response: %v\n%s", err, raw)
 	}
 	if hr.Design != names[0] || len(hr.Plans) != len(budgets) {
-		t.Fatalf("merged response %q with %d plans, want %q/%d: %s",
+		t.Fatalf("response %q with %d plans, want %q/%d: %s",
 			hr.Design, len(hr.Plans), names[0], len(budgets), raw)
 	}
 	for i, p := range hr.Plans {
 		if p.Budget != budgets[i] {
-			t.Errorf("plan %d has budget %v, want %v (merge must preserve request order)", i, p.Budget, budgets[i])
+			t.Errorf("plan %d has budget %v, want %v (plans must keep request order)", i, p.Budget, budgets[i])
 		}
 		if len(p.Chosen) == 0 {
 			t.Errorf("plan %d chose nothing", i)
@@ -71,17 +71,14 @@ func TestFleetHardenThroughGateway(t *testing.T) {
 		t.Errorf("unbounded budget left residual %v", last.ResidualChipAVF)
 	}
 	if len(hr.TopTerms) == 0 {
-		t.Error("merged response dropped top_terms")
+		t.Error("response dropped top_terms")
 	}
 	if got := gwReg.Counter("gateway.harden_requests").Load(); got != 1 {
 		t.Errorf("gateway.harden_requests = %d, want 1", got)
 	}
-	if got := gwReg.Counter("gateway.harden_fanout_total").Load(); got != 1 {
-		t.Errorf("gateway.harden_fanout_total = %d, want 1", got)
-	}
 
 	// Concurrent burst: every request must come back 200 (retrying only
-	// 429 backpressure), exercising the fan-out path under -race.
+	// 429 backpressure), exercising the routed path under -race.
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for i := 0; i < 8; i++ {

@@ -38,8 +38,10 @@ type SweepWorkload struct {
 	PAVF string `json:"pavf"`
 }
 
-// SweepResponse mirrors sweeprun's report: plan statistics plus
-// per-workload design summaries, index-aligned with the request.
+// SweepResponse is the body of a POST /v1/sweep answer and of
+// cmd/sweeprun's report: plan statistics plus per-workload design
+// summaries, index-aligned with the request. NewSweepResponse is its one
+// producer.
 type SweepResponse struct {
 	Design    string           `json:"design"`
 	Workloads int              `json:"workloads"`
@@ -54,6 +56,27 @@ type WorkloadResult struct {
 	Name    string             `json:"name"`
 	Summary core.Summary       `json:"summary"`
 	SeqAVF  map[string]float64 `json:"seqavf,omitempty"`
+}
+
+// NewSweepResponse reports an evaluated batch: every workload's design
+// summary and, with nodes, its per-sequential-node seqAVFs.
+func NewSweepResponse(design string, batch *sweep.Batch, nodes bool) SweepResponse {
+	resp := SweepResponse{
+		Design:    design,
+		Workloads: len(batch.Results),
+		Plan:      batch.Plan.Stats(),
+		ElapsedMS: float64(batch.Elapsed.Microseconds()) / 1e3,
+		PerSec:    batch.WorkloadsPerSec(),
+		Results:   make([]WorkloadResult, len(batch.Results)),
+	}
+	for i, res := range batch.Results {
+		wr := WorkloadResult{Name: batch.Names[i], Summary: res.Summarize()}
+		if nodes {
+			wr.SeqAVF = res.SeqAVFByNode()
+		}
+		resp.Results[i] = wr
+	}
+	return resp
 }
 
 // DesignInfo describes one registered design on GET /v1/designs.
@@ -318,22 +341,7 @@ func (s *Server) decodeSweep(_ *http.Request, body io.Reader) (*call, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		resp := SweepResponse{
-			Design:    d.Name,
-			Workloads: len(batch.Results),
-			Plan:      batch.Plan.Stats(),
-			ElapsedMS: float64(batch.Elapsed.Microseconds()) / 1e3,
-			PerSec:    batch.WorkloadsPerSec(),
-			Results:   make([]WorkloadResult, len(batch.Results)),
-		}
-		for i, res := range batch.Results {
-			wr := WorkloadResult{Name: batch.Names[i], Summary: res.Summarize()}
-			if req.Nodes {
-				wr.SeqAVF = res.SeqAVFByNode()
-			}
-			resp.Results[i] = wr
-		}
-		return d, resp, nil
+		return d, NewSweepResponse(d.Name, batch, req.Nodes), nil
 	}
 	return &call{design: req.Design, workloads: len(ws), validate: validate, run: run}, nil
 }

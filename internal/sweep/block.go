@@ -180,22 +180,9 @@ func (p *Plan) EvalBlock(m *EnvMatrix, scratch []float64, out [][]float64) error
 // pavf.Expr.Eval's arithmetic exactly.
 func (p *Plan) evalEnvBlock(m *EnvMatrix, scratch []float64, out [][]float64) {
 	lanes := m.lanes
-	vals := m.vals
 	nSets := len(p.setOff) - 1
 	sums := scratch[:nSets*lanes]
-	for s := 0; s < nSets; s++ {
-		row := sums[s*lanes : s*lanes+lanes]
-		for w := range row {
-			row[w] = 0
-		}
-		for _, id := range p.setIDs[p.setOff[s]:p.setOff[s+1]] {
-			col := vals[int(id)*lanes : int(id)*lanes+lanes]
-			col = col[:len(row)]
-			for w := range row {
-				row[w] = min(1, row[w]+col[w])
-			}
-		}
-	}
+	p.sumSets(m.vals, lanes, sums)
 	nPairs := len(p.pairFwd)
 	pv := scratch[nSets*lanes : nSets*lanes+nPairs]
 	pairFwd, pairBwd := p.pairFwd, p.pairBwd
@@ -223,6 +210,44 @@ func (p *Plan) evalEnvBlock(m *EnvMatrix, scratch []float64, out [][]float64) {
 			}
 		}
 	}
+}
+
+// sumSets is the kernel's set pass over term-major, lane-minor vals:
+// sums[s*lanes+w] becomes set s's capped sum in lane w. Terms add in
+// ascending TermID order and each add saturates at exactly 1.0.
+func (p *Plan) sumSets(vals []float64, lanes int, sums []float64) {
+	for s := 0; s < len(p.setOff)-1; s++ {
+		row := sums[s*lanes : s*lanes+lanes]
+		for w := range row {
+			row[w] = 0
+		}
+		for _, id := range p.setIDs[p.setOff[s]:p.setOff[s+1]] {
+			col := vals[int(id)*lanes : int(id)*lanes+lanes]
+			col = col[:len(row)]
+			for w := range row {
+				row[w] = min(1, row[w]+col[w])
+			}
+		}
+	}
+}
+
+// SetSums runs the kernel's set pass for one environment: sums[s] is
+// set s's capped sum, the exact value EvalBlock's MIN pass reads for
+// every vertex whose forward or backward side is slot s. Because the sum
+// of values in [0,1] only grows and each add is min(1, ·), a set is
+// capped exactly when its sum is 1.0. env must hold one value per term
+// of the plan's universe and pass pavf.Env.Validate.
+func (p *Plan) SetSums(env pavf.Env) ([]float64, error) {
+	if want := p.Analyzer.Universe().Len(); len(env) != want {
+		return nil, fmt.Errorf("sweep: env has %d terms but design %q has a universe of %d",
+			len(env), p.Analyzer.G.Design.Name, want)
+	}
+	if err := env.Validate(); err != nil {
+		return nil, err
+	}
+	sums := make([]float64, p.NumSets())
+	p.sumSets(env, 1, sums)
+	return sums, nil
 }
 
 // EvalBlockInto evaluates one block of workloads through the plan,

@@ -100,8 +100,9 @@ func TestPropertyBlockBitIdentity(t *testing.T) {
 // TestEvalBlockDirect drives Plan.EvalBlock through its exported surface
 // — EnvMatrix.ResetEnvs on prebuilt environments, explicit scratch and
 // output buffers — and checks bit-identity against pavf.Expr.Eval of
-// each lane's environment, plus the shape-mismatch errors the engine
-// relies on being errors rather than panics.
+// each lane's environment (and of each set for Plan.SetSums), plus the
+// shape-mismatch errors the engine relies on being errors rather than
+// panics.
 func TestEvalBlockDirect(t *testing.T) {
 	a, res, in := solved(t, graphtest.Default(3), 7)
 	p, err := Compile(res)
@@ -144,6 +145,22 @@ func TestEvalBlockDirect(t *testing.T) {
 			avf[v] = res.Exprs[v].Eval(env)
 		}
 		bitIdentical(t, fmt.Sprintf("lane %d", w), out[w], avf)
+
+		// SetSums is the same set pass for one environment: every slot
+		// holds its set's pavf.Set.Eval.
+		sums, err := p.SetSums(env)
+		if err != nil {
+			t.Fatalf("SetSums: %v", err)
+		}
+		raw := p.Raw()
+		for v, x := range res.Exprs {
+			if fi := raw.FwdIdx[v]; fi >= 0 && math.Float64bits(sums[fi]) != math.Float64bits(x.Fwd.Eval(env)) {
+				t.Fatalf("lane %d vertex %d: SetSums fwd slot %v, Set.Eval %v", w, v, sums[fi], x.Fwd.Eval(env))
+			}
+			if bi := raw.BwdIdx[v]; bi >= 0 && math.Float64bits(sums[bi]) != math.Float64bits(x.Bwd.Eval(env)) {
+				t.Fatalf("lane %d vertex %d: SetSums bwd slot %v, Set.Eval %v", w, v, sums[bi], x.Bwd.Eval(env))
+			}
+		}
 	}
 
 	// Shape mismatches must come back as errors.
@@ -164,6 +181,12 @@ func TestEvalBlockDirect(t *testing.T) {
 	bad[1] = math.NaN()
 	if err := m.ResetEnvs([]pavf.Env{bad}); err == nil {
 		t.Error("ResetEnvs accepted a NaN environment")
+	}
+	if _, err := p.SetSums(bad); err == nil {
+		t.Error("SetSums accepted a NaN environment")
+	}
+	if _, err := p.SetSums(envs[0][:2]); err == nil {
+		t.Error("SetSums accepted an environment of the wrong length")
 	}
 
 	// A matrix from a different design's universe is refused.

@@ -2,7 +2,8 @@
 # Smoke test for the sweep fleet: three seqavfd replicas (each with its
 # own artifact store and -peers pointing at the other two) behind one
 # seqavf-gateway. Drives a consistent-hash-routed sweep through the
-# gateway, checks the merged fleet-wide /metrics, then restarts one
+# gateway and a 4-budget harden whose plans must come back in request
+# order, checks the merged fleet-wide /metrics, then restarts one
 # replica with an EMPTY artifact directory and asserts it warm-starts
 # its design over the remote artifact tier (artifact.remote_hits >= 1,
 # no cold solve) and serves the same sweep answer. Exits non-zero if
@@ -92,6 +93,24 @@ run_sweep() {
 }
 run_sweep "$DIR/resp1.json"
 echo "fleet-smoke: routed sweep ok ($(wc -c <"$DIR/resp1.json") bytes)"
+
+# A 4-budget harden sweep routes to the design's owner in one forward;
+# the plans must come back one per budget, in request order (the
+# budgets are deliberately unsorted).
+{
+    printf '{"design":"xeonlike_%s","budgets":[64,16,256,32],"top_terms":3,"workloads":[{"name":"smoke","pavf":"' "$SEED"
+    awk '{printf "%s\\n", $0}' "$DIR/pavf.txt"
+    printf '"}]}'
+} >"$DIR/harden.json"
+curl -sf -X POST -H 'Content-Type: application/json' \
+    --data-binary "@$DIR/harden.json" "http://$GW_ADDR/v1/harden" >"$DIR/harden_resp.json"
+BUDGETS=$(grep -o '"budget": *[0-9.e+-]*' "$DIR/harden_resp.json" | sed 's/.*: *//' | tr '\n' ' ')
+if [ "$BUDGETS" != "64 16 256 32 " ]; then
+    echo "fleet-smoke: harden plans '$BUDGETS', want '64 16 256 32 ' (one per budget, request order):" >&2
+    cat "$DIR/harden_resp.json" >&2
+    exit 1
+fi
+echo "fleet-smoke: routed 4-budget harden ok (plans in request order)"
 
 # The fleet-wide exposition must merge replica counters (the sweep we
 # just ran) with the gateway's own routing counters.
