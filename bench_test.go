@@ -517,24 +517,10 @@ func BenchmarkIntervalSweep(b *testing.B) {
 	})
 }
 
-// BenchmarkBlockedSweep contrasts two lane widths of the SoA kernel
-// (Plan.EvalBlock) on the XeonLike design: width 1, one workload per
-// block, against the default 16 lanes — 64 workloads, one evaluation
-// worker, so the ratio isolates the blocking rather than parallelism.
-// Results are bit-identical at both widths; only the traversal differs —
-// width 1 streams the CSR plan indices once per workload, width 16 once
-// per 16-lane block.
-//
-// Each iteration starts from a collected heap (StopTimer + runtime.GC),
-// the same quiesced-GC protocol as BenchmarkWarmStartVsSolve, so GC
-// assist debt from prior iterations does not leak into either side.
-func BenchmarkBlockedSweep(b *testing.B) {
-	e := env(b)
-	res, err := e.Analyzer.Solve(e.AvgInputs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const n = 64
+// xeonWorkloads returns n seeded ±0.1 jitters of the suite-average
+// inputs of the XeonLike design: the batch every XeonLike sweep
+// benchmark evaluates.
+func xeonWorkloads(e *experiments.Env, n int) []sweep.Workload {
 	ws := make([]sweep.Workload, n)
 	for i := range ws {
 		rng := stats.New(uint64(7000 + i))
@@ -560,6 +546,33 @@ func BenchmarkBlockedSweep(b *testing.B) {
 		ports(in.WritePorts, e.AvgInputs.WritePorts)
 		ws[i] = sweep.Workload{Name: fmt.Sprintf("w%02d", i), Inputs: in}
 	}
+	return ws
+}
+
+// BenchmarkBlockedSweep contrasts two lane widths of the SoA kernel
+// (Plan.EvalBlock) on the XeonLike design: width 1, one workload per
+// block, against the default 16 lanes — 64 workloads, one evaluation
+// worker, so the ratio isolates the blocking rather than parallelism.
+// Results are bit-identical at both widths; only the traversal differs —
+// width 1 streams the CSR plan indices once per workload, width 16 once
+// per 16-lane block.
+//
+// These are kernel-only, GC-off numbers: env build, kernel and result
+// vectors, with the collector disabled in the timed regions — no parse,
+// no summaries, no encode, no GC. BenchmarkSweepSummaries is the GC-on
+// number for what a sweep report costs.
+//
+// Each iteration starts from a collected heap (StopTimer + runtime.GC),
+// the same quiesced-GC protocol as BenchmarkWarmStartVsSolve, so GC
+// assist debt from prior iterations does not leak into either side.
+func BenchmarkBlockedSweep(b *testing.B) {
+	e := env(b)
+	res, err := e.Analyzer.Solve(e.AvgInputs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 64
+	ws := xeonWorkloads(e, n)
 	quiesce := func(b *testing.B) {
 		b.StopTimer()
 		runtime.GC()
@@ -604,7 +617,8 @@ func BenchmarkBlockedSweep(b *testing.B) {
 // a JSONL sink draining to io.Discard — the full seqavfd wiring). The
 // instrumentation budget is <3% (EXPERIMENTS.md records the measured
 // overhead); tracing that costs more than that would have to be sampled
-// instead of always-on. The GC protocol matches BenchmarkBlockedSweep.
+// instead of always-on. The GC protocol matches BenchmarkBlockedSweep:
+// these are kernel-only, GC-off numbers too.
 func BenchmarkTracedSweep(b *testing.B) {
 	e := env(b)
 	res, err := e.Analyzer.Solve(e.AvgInputs)
@@ -612,31 +626,7 @@ func BenchmarkTracedSweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	const n = 64
-	ws := make([]sweep.Workload, n)
-	for i := range ws {
-		rng := stats.New(uint64(7000 + i))
-		in := core.NewInputs()
-		jitter := func(v float64) float64 {
-			v += (rng.Float64() - 0.5) * 0.2
-			return math.Min(1, math.Max(0, v))
-		}
-		ports := func(dst, src map[core.StructPort]float64) {
-			keys := make([]core.StructPort, 0, len(src))
-			for sp := range src {
-				keys = append(keys, sp)
-			}
-			sort.Slice(keys, func(a, b int) bool {
-				return keys[a].Struct < keys[b].Struct ||
-					(keys[a].Struct == keys[b].Struct && keys[a].Port < keys[b].Port)
-			})
-			for _, sp := range keys {
-				dst[sp] = jitter(src[sp])
-			}
-		}
-		ports(in.ReadPorts, e.AvgInputs.ReadPorts)
-		ports(in.WritePorts, e.AvgInputs.WritePorts)
-		ws[i] = sweep.Workload{Name: fmt.Sprintf("w%02d", i), Inputs: in}
-	}
+	ws := xeonWorkloads(e, n)
 	quiesce := func(b *testing.B) {
 		b.StopTimer()
 		runtime.GC()
@@ -676,6 +666,59 @@ func BenchmarkTracedSweep(b *testing.B) {
 					b.Fatal(err)
 				}
 				sp.End()
+			}
+			b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "workloads/sec")
+		})
+	}
+}
+
+// BenchmarkSweepSummaries measures what a /v1/sweep report's numbers
+// cost past parsing, with the collector on as the service runs: 1024
+// jittered XeonLike tables summarized through a warm engine at its
+// default workers and width, either by materializing every per-vertex
+// AVF vector and summarizing it (SweepContext + Result.Summarize) or by
+// reducing inside the kernel (SummarizeContext). The summaries are
+// bit-identical (internal/sweep's differential tests); the gap is the
+// vectors' allocation, their GC, and the second walk over them.
+func BenchmarkSweepSummaries(b *testing.B) {
+	e := env(b)
+	res, err := e.Analyzer.Solve(e.AvgInputs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 1024
+	ws := xeonWorkloads(e, n)
+	eng := sweep.New(sweep.Options{})
+	if _, err := eng.Plan(res); err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, bc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Materialize", func() error {
+			batch, err := eng.SweepContext(ctx, res, ws)
+			if err != nil {
+				return err
+			}
+			sums := make([]core.Summary, n)
+			for i, r := range batch.Results {
+				sums[i] = r.Summarize()
+			}
+			return nil
+		}},
+		{"Reduce", func() error {
+			_, err := eng.SummarizeContext(ctx, res, ws, false)
+			return err
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.run(); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "workloads/sec")
 		})

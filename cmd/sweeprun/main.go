@@ -177,12 +177,12 @@ func run(reg *obs.Registry, arts *cliutil.Artifacts, nlPath, dir, glob string, w
 	for i, ni := range named {
 		ws[i] = sweep.Workload{Name: ni.Name, Inputs: ni.Inputs}
 	}
-	batch, err := eng.SweepContext(ctx, res, ws)
+	batch, err := eng.SummarizeContext(ctx, res, ws, nodes)
 	if err != nil {
 		return err
 	}
 
-	rep := server.NewSweepResponse(d.Name, batch, nodes)
+	rep := server.NewSweepResponse(d.Name, batch)
 	if err := emitReport(out, rep); err != nil {
 		return err
 	}

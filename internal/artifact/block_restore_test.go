@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -61,6 +62,58 @@ func TestRestoredPlanBlockBitIdentity(t *testing.T) {
 				if rb != fb || rb != sb {
 					t.Fatalf("seed %d workload %s vertex %d: restored-block %v, fresh-block %v, reevaluate %v",
 						seed, w.Name, v, fromRestored[i].AVF[v], fromFresh[i].AVF[v], ref.AVF[v])
+				}
+			}
+		}
+	}
+}
+
+// TestStoredPlanSummariesBitIdentity: an engine warm-starting from the
+// artifact store — its plan decoded against a fresh analyzer, as a
+// restarted daemon's is — reduces sweep summaries inside the kernel
+// bit-identically to the freshly compiled plan's Result.Summarize and
+// SeqAVFByNode: Restore rebuilds the reducer table Compile builds.
+func TestStoredPlanSummariesBitIdentity(t *testing.T) {
+	for seed := uint64(0); seed < 20; seed++ {
+		a1, res, in := buildSolved(t, seed, seed^0xfeed)
+		st, err := Open(t.TempDir(), Options{})
+		if err != nil {
+			t.Fatalf("seed %d: Open: %v", seed, err)
+		}
+		if err := st.Put(res, nil); err != nil {
+			t.Fatalf("seed %d: Put: %v", seed, err)
+		}
+		ws := []sweep.Workload{
+			{Name: "w0", Inputs: in},
+			{Name: "w1", Inputs: seededInputs(a1, seed^0xabad1dea)},
+			{Name: "w2", Inputs: seededInputs(a1, seed*131+7)},
+		}
+		a2 := freshAnalyzer(t, seed)
+		warm := sweep.New(sweep.Options{Workers: 1, BlockSize: 2, Store: st})
+		// Only the analyzer matters for the plan lookup; the store
+		// supplies the closed forms.
+		sb, err := warm.SummarizeContext(context.Background(), &core.Result{Analyzer: a2}, ws, true)
+		if err != nil {
+			t.Fatalf("seed %d: SummarizeContext: %v", seed, err)
+		}
+		if sb.Plan.Analyzer != a2 {
+			t.Fatalf("seed %d: plan was not restored against the fresh analyzer", seed)
+		}
+		batch, err := sweep.New(sweep.Options{Workers: 1}).Sweep(res, ws)
+		if err != nil {
+			t.Fatalf("seed %d: Sweep: %v", seed, err)
+		}
+		for i, r := range batch.Results {
+			if got, want := sb.Summaries[i], r.Summarize(); got != want {
+				t.Fatalf("seed %d workload %d: stored-plan summary %+v, want %+v", seed, i, got, want)
+			}
+			want := r.SeqAVFByNode()
+			if len(sb.SeqAVF[i]) != len(want) {
+				t.Fatalf("seed %d workload %d: %d node seqAVFs, want %d", seed, i, len(sb.SeqAVF[i]), len(want))
+			}
+			for key, v := range want {
+				if got, ok := sb.SeqAVF[i][key]; !ok || got != v {
+					t.Fatalf("seed %d workload %d node %s: %v (present %v), want %v", seed, i, key, got, ok, v)
 				}
 			}
 		}

@@ -22,7 +22,12 @@ func (n *SeqNode) SumAVF(avf []float64) float64 {
 
 // MeanAVF is the node's average bit AVF: SumAVF over the bit count.
 func (n *SeqNode) MeanAVF(avf []float64) float64 {
-	return n.SumAVF(avf) / float64(len(n.Bits))
+	return n.Mean(n.SumAVF(avf))
+}
+
+// Mean is the node's average bit AVF given its AVF sum.
+func (n *SeqNode) Mean(sum float64) float64 {
+	return sum / float64(len(n.Bits))
 }
 
 // SeqIndex is a design's sequential-bit index: every statistic reported

@@ -347,13 +347,19 @@ func (r *Result) Equation(v graph.VertexID) string {
 // VisitedFraction returns the share of analyzable vertices reached by a
 // walk (debug-stripped vertices are excluded from the denominator).
 func (r *Result) VisitedFraction() float64 {
-	if len(r.Visited) == 0 {
+	return r.Analyzer.VisitedFraction(r.Visited)
+}
+
+// VisitedFraction is Result.VisitedFraction for a result whose walks
+// marked visited; an empty slice gives 0.
+func (a *Analyzer) VisitedFraction(visited []bool) float64 {
+	if len(visited) == 0 {
 		return 0
 	}
 	total, vis := 0, 0
-	for _, fb := range r.Analyzer.SeqIndex().Fubs {
+	for _, fb := range a.SeqIndex().Fubs {
 		total += len(fb.Bits) + len(fb.Consts)
-		vis += countVisited(r.Visited, fb.Bits) + countVisited(r.Visited, fb.Consts)
+		vis += countVisited(visited, fb.Bits) + countVisited(visited, fb.Consts)
 	}
 	if total == 0 {
 		return 0
@@ -401,25 +407,46 @@ type FubStat struct {
 func (r *Result) FubStats() []FubStat {
 	a := r.Analyzer
 	fubs := a.SeqIndex().Fubs
+	sums := r.fubSums()
 	out := make([]FubStat, len(fubs))
-	for i := range fubs {
-		fb := &fubs[i]
-		st := FubStat{
-			Fub:         a.G.FubNames[i],
-			SeqBits:     len(fb.Seq),
-			NodeBits:    len(fb.Bits),
-			LoopSeqBits: fb.Loop,
-			CtrlBits:    fb.Ctrl,
-		}
-		if st.SeqBits > 0 {
-			st.AvgSeqAVF = sumAVF(r.AVF, fb.Seq) / float64(st.SeqBits)
-		}
-		if st.NodeBits > 0 {
-			st.AvgNodeAVF = sumAVF(r.AVF, fb.Bits) / float64(st.NodeBits)
-		}
-		out[i] = st
+	for i := range out {
+		seq, node := sums(i)
+		out[i] = fubStat(a.G.FubNames[i], &fubs[i], seq, node)
 	}
 	return out
+}
+
+// fubSums returns the FubSums of r's AVF vector.
+func (r *Result) fubSums() FubSums {
+	fubs, avf := r.Analyzer.SeqIndex().Fubs, r.AVF
+	return func(i int) (seq, node float64) {
+		return sumAVF(avf, fubs[i].Seq), sumAVF(avf, fubs[i].Bits)
+	}
+}
+
+// FubSums reads FUB i's AVF sums: seq over SeqIndex().Fubs[i].Seq and
+// node over .Bits, each added in vertex order starting from 0. Every
+// producer of the summaries — a per-vertex vector here, the sweep
+// kernel's reduce sink in internal/sweep — hands its sums to the same
+// arithmetic below, so equal sums give bit-identical summaries.
+type FubSums func(i int) (seq, node float64)
+
+// fubStat is one FUB's statistics from its bit lists and AVF sums.
+func fubStat(name string, fb *FubBits, seq, node float64) FubStat {
+	st := FubStat{
+		Fub:         name,
+		SeqBits:     len(fb.Seq),
+		NodeBits:    len(fb.Bits),
+		LoopSeqBits: fb.Loop,
+		CtrlBits:    fb.Ctrl,
+	}
+	if st.SeqBits > 0 {
+		st.AvgSeqAVF = seq / float64(st.SeqBits)
+	}
+	if st.NodeBits > 0 {
+		st.AvgNodeAVF = node / float64(st.NodeBits)
+	}
+	return st
 }
 
 // sumAVF sums avf over vs in order.
@@ -448,9 +475,24 @@ type Summary struct {
 // Summarize computes the design-wide weighted averages the paper reports
 // (weighted "to account for the actual number of sequentials in each FUB").
 func (r *Result) Summarize() Summary {
+	s := r.Analyzer.SummarizeSums(r.fubSums())
+	s.VisitedFraction = r.VisitedFraction()
+	s.Iterations = r.Iterations
+	s.Converged = r.Converged
+	return s
+}
+
+// SummarizeSums is Summarize from per-FUB AVF sums (see FubSums): the
+// bit counts, the per-FUB averages weighted by their bit counts, and the
+// loop share. VisitedFraction, Iterations and Converged are the
+// caller's to fill.
+func (a *Analyzer) SummarizeSums(sums FubSums) Summary {
 	var s Summary
 	var seqSum, nodeSum float64
-	for _, fs := range r.FubStats() {
+	fubs := a.SeqIndex().Fubs
+	for i := range fubs {
+		seq, node := sums(i)
+		fs := fubStat(a.G.FubNames[i], &fubs[i], seq, node)
 		s.SeqBits += fs.SeqBits
 		s.NodeBits += fs.NodeBits
 		s.LoopSeqBits += fs.LoopSeqBits
@@ -467,9 +509,6 @@ func (r *Result) Summarize() Summary {
 	if s.SeqBits > 0 {
 		s.LoopSeqFraction = float64(s.LoopSeqBits) / float64(s.SeqBits)
 	}
-	s.VisitedFraction = r.VisitedFraction()
-	s.Iterations = r.Iterations
-	s.Converged = r.Converged
 	return s
 }
 
@@ -477,9 +516,16 @@ func (r *Result) Summarize() Summary {
 // node's bits), keyed by "fub/node".
 func (r *Result) SeqAVFByNode() map[string]float64 {
 	nodes := r.Analyzer.SeqIndex().Nodes
+	return r.Analyzer.SeqAVFFromSums(func(i int) float64 { return nodes[i].SumAVF(r.AVF) })
+}
+
+// SeqAVFFromSums is SeqAVFByNode from each node's AVF sum: sum(i) is
+// SeqIndex().Nodes[i].SumAVF of the vector being reported.
+func (a *Analyzer) SeqAVFFromSums(sum func(i int) float64) map[string]float64 {
+	nodes := a.SeqIndex().Nodes
 	out := make(map[string]float64, len(nodes))
 	for i := range nodes {
-		out[nodes[i].Key] = nodes[i].MeanAVF(r.AVF)
+		out[nodes[i].Key] = nodes[i].Mean(sum(i))
 	}
 	return out
 }

@@ -65,8 +65,7 @@ func (t *IntervalTable) Cycles() uint64 {
 // window geometry is validated strictly with file:line errors.
 func ParseIntervals(name string, r io.Reader) (*IntervalTable, error) {
 	t := &IntervalTable{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), MaxLineBytes)
+	sc := newScanner(r)
 	var (
 		cur       *IntervalWindow
 		curRecs   int

@@ -23,9 +23,18 @@ import (
 )
 
 // MaxLineBytes bounds one pAVF table line. The default bufio.Scanner
-// buffer (64KB) is too small for machine-generated tables with deeply
+// limit (64KB) is too small for machine-generated tables with deeply
 // hierarchical port names; anything past this limit is not a pAVF table.
 const MaxLineBytes = 4 << 20
+
+// newScanner returns a line scanner for one table. Its buffer starts at
+// the scanner's small default and doubles only as a line demands, up to
+// MaxLineBytes, so the typical few-KB table costs a few KB of buffer.
+func newScanner(r io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, MaxLineBytes)
+	return sc
+}
 
 // Parse parses the line-oriented pAVF table consumed by sartool and
 // produced by acerun/designgen:
@@ -45,8 +54,7 @@ const MaxLineBytes = 4 << 20
 // silent last-wins hides measurement-merge mistakes.
 func Parse(name string, r io.Reader) (*core.Inputs, error) {
 	in := core.NewInputs()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), MaxLineBytes)
+	sc := newScanner(r)
 	firstLine := make(map[string]int) // "R IQ.rd" -> line of first record
 	lineNo := 0
 	for sc.Scan() {

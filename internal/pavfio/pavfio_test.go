@@ -332,3 +332,39 @@ func TestReadPAVFDir(t *testing.T) {
 		t.Error("ReadDir accepted a directory with a malformed table")
 	}
 }
+
+// TestScannerBufferGrowsToCap: the line buffer starts small and grows
+// on demand, so a table with a 100 KB line between short ones parses to
+// exactly the records it holds, in both table formats, and a line past
+// MaxLineBytes fails with the file, its line number and the limit.
+func TestScannerBufferGrowsToCap(t *testing.T) {
+	longPort := "TOP." + strings.Repeat("x", 100*1024)
+	table := "R IQ.rd 0.25\nW " + longPort + " 0.5\nS IQ 0.75\n"
+	in, err := Parse("long", strings.NewReader(table))
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	want := core.NewInputs()
+	want.ReadPorts[core.StructPort{Struct: "IQ", Port: "rd"}] = 0.25
+	want.WritePorts[core.StructPort{Struct: "TOP", Port: longPort[len("TOP."):]}] = 0.5
+	want.StructAVF["IQ"] = 0.75
+	if !reflect.DeepEqual(in, want) {
+		t.Fatalf("Parse of a 100KB-line table = %+v, want %+v", in, want)
+	}
+	iv, err := ParseIntervals("long", strings.NewReader("# window 0 0 10\n"+table))
+	if err != nil {
+		t.Fatalf("ParseIntervals: %v", err)
+	}
+	if len(iv.Windows) != 1 || !reflect.DeepEqual(iv.Windows[0].Inputs, want) {
+		t.Fatalf("ParseIntervals of a 100KB-line table = %+v, want one window of %+v", iv.Windows, want)
+	}
+
+	huge := "R TOP." + strings.Repeat("y", MaxLineBytes) + " 0.5\n"
+	const wantErr = "huge:2: line exceeds 4194304 bytes (not a pAVF table?)"
+	if _, err := Parse("huge", strings.NewReader("R IQ.rd 0.25\n"+huge)); err == nil || err.Error() != wantErr {
+		t.Fatalf("Parse oversize-line error = %v, want %q", err, wantErr)
+	}
+	if _, err := ParseIntervals("huge", strings.NewReader("# window 0 0 10\n"+huge)); err == nil || err.Error() != wantErr {
+		t.Fatalf("ParseIntervals oversize-line error = %v, want %q", err, wantErr)
+	}
+}

@@ -58,21 +58,22 @@ type WorkloadResult struct {
 	SeqAVF  map[string]float64 `json:"seqavf,omitempty"`
 }
 
-// NewSweepResponse reports an evaluated batch: every workload's design
-// summary and, with nodes, its per-sequential-node seqAVFs.
-func NewSweepResponse(design string, batch *sweep.Batch, nodes bool) SweepResponse {
+// NewSweepResponse reports a summarized batch: every workload's design
+// summary and, when the batch was summarized with nodes, its
+// per-sequential-node seqAVFs.
+func NewSweepResponse(design string, batch *sweep.SummaryBatch) SweepResponse {
 	resp := SweepResponse{
 		Design:    design,
-		Workloads: len(batch.Results),
+		Workloads: len(batch.Summaries),
 		Plan:      batch.Plan.Stats(),
 		ElapsedMS: float64(batch.Elapsed.Microseconds()) / 1e3,
 		PerSec:    batch.WorkloadsPerSec(),
-		Results:   make([]WorkloadResult, len(batch.Results)),
+		Results:   make([]WorkloadResult, len(batch.Summaries)),
 	}
-	for i, res := range batch.Results {
-		wr := WorkloadResult{Name: batch.Names[i], Summary: res.Summarize()}
-		if nodes {
-			wr.SeqAVF = res.SeqAVFByNode()
+	for i, s := range batch.Summaries {
+		wr := WorkloadResult{Name: batch.Names[i], Summary: s}
+		if batch.SeqAVF != nil {
+			wr.SeqAVF = batch.SeqAVF[i]
 		}
 		resp.Results[i] = wr
 	}
@@ -337,11 +338,11 @@ func (s *Server) decodeSweep(_ *http.Request, body io.Reader) (*call, error) {
 		return nil
 	}
 	run := func(ctx context.Context, d *Design) (*Design, any, error) {
-		batch, err := s.eng.SweepContext(ctx, d.Result, ws)
+		batch, err := s.eng.SummarizeContext(ctx, d.Result, ws, req.Nodes)
 		if err != nil {
 			return nil, nil, err
 		}
-		return d, NewSweepResponse(d.Name, batch, req.Nodes), nil
+		return d, NewSweepResponse(d.Name, batch), nil
 	}
 	return &call{design: req.Design, workloads: len(ws), validate: validate, run: run}, nil
 }

@@ -7,10 +7,13 @@
 // term-major, workload-lane-minor, so all W values of one term sit in one
 // contiguous row — and traverses the plan ONCE per block: every subterm
 // set is summed across all lanes before the next set's indices are
-// touched, and the per-vertex MIN pass reads fwdIdx/bwdIdx once for all W
-// workloads. Per-workload cost drops to the arithmetic itself; the index
-// traffic is amortized W ways (the positional-popcount blocking idea,
-// applied to saturating sums).
+// touched, and the MIN pass computes each unique (fwd, bwd) pair's value
+// for all W workloads into an SoA pair-value matrix. A sink then consumes
+// the pair values: broadcast fans them out into per-vertex AVF vectors
+// (EvalBlock), reduce sums them straight into per-FUB and per-node AVF
+// sums (Engine.SummarizeContext). Per-workload cost drops to the
+// arithmetic itself; the index traffic is amortized W ways (the
+// positional-popcount blocking idea, applied to saturating sums).
 //
 // The kernel replays pavf's arithmetic exactly — per-lane sums add terms
 // in ascending TermID order and saturate at exactly 1.0, after which the
@@ -23,6 +26,7 @@ package sweep
 
 import (
 	"fmt"
+	"time"
 
 	"seqavf/internal/core"
 	"seqavf/internal/pavf"
@@ -131,18 +135,24 @@ func (m *EnvMatrix) adopt(envs []pavf.Env) {
 }
 
 // ScratchLen returns the scratch length EvalBlock needs for a given lane
-// count: an SoA running-sum row per subterm set, plus one value per
-// unique (fwd, bwd) slot pair for the lane currently being broadcast.
+// count: an SoA running-sum row per subterm set, then an SoA value row
+// per unique (fwd, bwd) slot pair.
 func (p *Plan) ScratchLen(lanes int) int {
-	return p.NumSets()*lanes + len(p.pairFwd)
+	return (p.NumSets() + len(p.pairFwd)) * lanes
+}
+
+// reduceScratchLen is ScratchLen plus the reduce sink's accumulator rows
+// for a summary with or without per-node sums.
+func (p *Plan) reduceScratchLen(lanes int, nodes bool) int {
+	return p.ScratchLen(lanes) + p.reduceEntries(nodes)*lanes
 }
 
 // EvalBlock resolves every vertex AVF for every lane of m in one plan
 // traversal, writing lane w's per-vertex AVFs into out[w]. scratch needs
 // ScratchLen(Lanes()) entries (per-set running sums followed by the
-// vertex-major AVF staging rows, both SoA like the matrix). Shape
-// mismatches are errors, not panics. Results are bit-identical to
-// evaluating each lane's closed forms through pavf.Expr.Eval.
+// per-pair values, both SoA like the matrix). Shape mismatches are
+// errors, not panics. Results are bit-identical to evaluating each
+// lane's closed forms through pavf.Expr.Eval.
 func (p *Plan) EvalBlock(m *EnvMatrix, scratch []float64, out [][]float64) error {
 	if m.lanes == 0 {
 		return nil
@@ -163,50 +173,89 @@ func (p *Plan) EvalBlock(m *EnvMatrix, scratch []float64, out [][]float64) error
 	if need := p.ScratchLen(m.lanes); len(scratch) < need {
 		return fmt.Errorf("sweep: scratch has %d entries, block kernel needs %d", len(scratch), need)
 	}
-	p.evalEnvBlock(m, scratch, out)
+	p.broadcast(p.pairValues(m, scratch), m.lanes, out)
 	return nil
 }
 
-// evalEnvBlock is the blocked kernel proper. Pass 1 streams the CSR set
-// table once, accumulating all lanes of each set before moving on; the
-// per-lane saturation `min(1, sum+term)` is bit-identical to Set.Eval's
-// capped break — sums of validated in-[0,1] terms are monotone, and a
-// lane pinned at exactly 1.0 stays there for every later add. Pass 2
-// exploits MIN sharing: vertices with the same (fwd, bwd) slot pair
-// resolve identically, so each lane computes one MIN per unique pair
-// (an unknown side is a conservative 1.0, and set sums never exceed 1,
-// so the MIN collapses to the known side) and then broadcasts through
-// pairIdx with one sequential write per vertex. Both passes replay
-// pavf.Expr.Eval's arithmetic exactly.
-func (p *Plan) evalEnvBlock(m *EnvMatrix, scratch []float64, out [][]float64) {
+// pairValues runs the kernel's first two passes and returns the SoA
+// pair-value matrix pv[pair*lanes+w], carved from scratch after the set
+// sums. Pass 1 (sumSets) streams the CSR set table once, accumulating
+// all lanes of each set before moving on; the per-lane saturation
+// `min(1, sum+term)` is bit-identical to Set.Eval's capped break — sums
+// of validated in-[0,1] terms are monotone, and a lane pinned at exactly
+// 1.0 stays there for every later add. Pass 2 exploits MIN sharing:
+// vertices with the same (fwd, bwd) slot pair resolve identically, so
+// each lane computes one MIN per unique pair — an unknown side is a
+// conservative 1.0, and set sums never exceed 1, so the MIN collapses to
+// the known side. Both passes replay pavf.Expr.Eval's arithmetic
+// exactly, so pv holds every vertex's AVF; a sink (broadcast or reduce)
+// consumes it.
+func (p *Plan) pairValues(m *EnvMatrix, scratch []float64) []float64 {
 	lanes := m.lanes
-	nSets := len(p.setOff) - 1
+	nSets := p.NumSets()
 	sums := scratch[:nSets*lanes]
 	p.sumSets(m.vals, lanes, sums)
-	nPairs := len(p.pairFwd)
-	pv := scratch[nSets*lanes : nSets*lanes+nPairs]
-	pairFwd, pairBwd := p.pairFwd, p.pairBwd
-	runPair, runOff := p.runPair, p.runOff
-	for w := 0; w < lanes; w++ {
-		for pi := 0; pi < nPairs; pi++ {
-			fi, bi := pairFwd[pi], pairBwd[pi]
-			switch {
-			case fi >= 0 && bi >= 0:
-				pv[pi] = min(sums[int(fi)*lanes+w], sums[int(bi)*lanes+w])
-			case fi >= 0:
-				pv[pi] = sums[int(fi)*lanes+w]
-			case bi >= 0:
-				pv[pi] = sums[int(bi)*lanes+w]
-			default:
-				pv[pi] = 1
+	pv := scratch[nSets*lanes : (nSets+len(p.pairFwd))*lanes]
+	for pi, fi := range p.pairFwd {
+		bi := p.pairBwd[pi]
+		row := pv[pi*lanes : pi*lanes+lanes]
+		switch {
+		case fi >= 0 && bi >= 0:
+			f := sums[int(fi)*lanes : int(fi)*lanes+lanes]
+			b := sums[int(bi)*lanes : int(bi)*lanes+lanes]
+			for w := range row {
+				row[w] = min(f[w], b[w])
+			}
+		case fi >= 0:
+			copy(row, sums[int(fi)*lanes:int(fi)*lanes+lanes])
+		case bi >= 0:
+			copy(row, sums[int(bi)*lanes:int(bi)*lanes+lanes])
+		default:
+			for w := range row {
+				row[w] = 1
 			}
 		}
-		o := out[w]
-		for r, pi := range runPair {
-			c := pv[pi]
-			seg := o[runOff[r]:runOff[r+1]]
+	}
+	return pv
+}
+
+// broadcast is the vector sink: lane w's per-vertex AVFs are its pair
+// values fanned out through the run-length vertex map, one constant fill
+// per run.
+func (p *Plan) broadcast(pv []float64, lanes int, out [][]float64) {
+	for w, o := range out {
+		for r, pi := range p.runPair {
+			c := pv[int(pi)*lanes+w]
+			seg := o[p.runOff[r]:p.runOff[r+1]]
 			for i := range seg {
 				seg[i] = c
+			}
+		}
+	}
+}
+
+// reduce is the summary sink: acc[e*lanes+w] becomes reducer entry e's
+// AVF sum in lane w, for the first entries entries (see Plan.redOff). It
+// adds the pair value of each of the entry's bits, in vertex order,
+// starting from 0 — per lane, the same additions in the same order as
+// summing a broadcast vector over the same bit list — so the sums, and
+// every summary read from them, are bit-identical to the vector path's.
+// A run of bits sharing a pair is added one bit at a time, not as
+// count × value, for the same reason.
+func (p *Plan) reduce(pv []float64, lanes, entries int, acc []float64) {
+	for e := 0; e < entries; e++ {
+		row := acc[e*lanes : e*lanes+lanes]
+		clear(row)
+		for k := p.redOff[e]; k < p.redOff[e+1]; k++ {
+			pi, n := int(p.redPair[k]), p.redLen[k]
+			col := pv[pi*lanes : pi*lanes+lanes]
+			col = col[:len(row)]
+			for w, c := range col {
+				sum := row[w]
+				for range n {
+					sum += c
+				}
+				row[w] = sum
 			}
 		}
 	}
@@ -258,18 +307,25 @@ func (p *Plan) SetSums(env pavf.Env) ([]float64, error) {
 // vector is a view into one fresh per-block backing array, and its Env is
 // the lane's freshly built environment.
 func (p *Plan) EvalBlockInto(ws []Workload, m *EnvMatrix, scratch []float64, dst []*core.Result) error {
+	_, err := p.evalBlockInto(ws, m, scratch, dst)
+	return err
+}
+
+// evalBlockInto is EvalBlockInto, also returning the time spent in the
+// kernel passes (env build and result allocation excluded).
+func (p *Plan) evalBlockInto(ws []Workload, m *EnvMatrix, scratch []float64, dst []*core.Result) (time.Duration, error) {
 	if len(dst) != len(ws) {
-		return fmt.Errorf("sweep: %d result slots for %d workloads", len(dst), len(ws))
+		return 0, fmt.Errorf("sweep: %d result slots for %d workloads", len(dst), len(ws))
 	}
 	if m == nil {
 		m = new(EnvMatrix)
 	}
 	if err := m.Reset(p.Analyzer, ws); err != nil {
-		return err
+		return 0, err
 	}
 	lanes := len(ws)
 	if lanes == 0 {
-		return nil
+		return 0, nil
 	}
 	if need := p.ScratchLen(lanes); len(scratch) < need {
 		scratch = make([]float64, need)
@@ -280,9 +336,11 @@ func (p *Plan) EvalBlockInto(ws []Workload, m *EnvMatrix, scratch []float64, dst
 	for w := range out {
 		out[w] = buf[w*nv : (w+1)*nv : (w+1)*nv]
 	}
+	start := time.Now()
 	if err := p.EvalBlock(m, scratch, out); err != nil {
-		return err
+		return 0, err
 	}
+	kernel := time.Since(start)
 	for w := range ws {
 		dst[w] = &core.Result{
 			Analyzer:   p.Analyzer,
@@ -295,5 +353,37 @@ func (p *Plan) EvalBlockInto(ws []Workload, m *EnvMatrix, scratch []float64, dst
 			Converged:  true,
 		}
 	}
-	return nil
+	return kernel, nil
+}
+
+// summarizeBlock evaluates one block of workloads straight to their
+// summaries — and, when nodeAVF is non-nil, their per-node seqAVFs —
+// through the reduce sink, without per-vertex vectors. sums and nodeAVF
+// are index-aligned with ws; scratch must hold reduceScratchLen. Every
+// value is bit-identical to EvalBlockInto's Result.Summarize and
+// SeqAVFByNode. It returns the time spent in the kernel passes.
+func (p *Plan) summarizeBlock(ws []Workload, m *EnvMatrix, scratch []float64, sums []core.Summary, nodeAVF []map[string]float64) (time.Duration, error) {
+	if err := m.Reset(p.Analyzer, ws); err != nil {
+		return 0, err
+	}
+	lanes := len(ws)
+	entries := p.reduceEntries(nodeAVF != nil)
+	base := p.ScratchLen(lanes)
+	acc := scratch[base : base+entries*lanes]
+	start := time.Now()
+	p.reduce(p.pairValues(m, scratch), lanes, entries, acc)
+	kernel := time.Since(start)
+	a := p.Analyzer
+	nodeBase := 2 * len(a.SeqIndex().Fubs) * lanes
+	for w := range ws {
+		s := a.SummarizeSums(func(f int) (seq, node float64) {
+			return acc[2*f*lanes+w], acc[(2*f+1)*lanes+w]
+		})
+		s.VisitedFraction, s.Iterations, s.Converged = p.visitedFrac, 1, true
+		sums[w] = s
+		if nodeAVF != nil {
+			nodeAVF[w] = a.SeqAVFFromSums(func(i int) float64 { return acc[nodeBase+i*lanes+w] })
+		}
+	}
+	return kernel, nil
 }

@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"seqavf/internal/core"
+	"seqavf/internal/graph"
 	"seqavf/internal/pavf"
 )
 
@@ -63,6 +64,21 @@ type Plan struct {
 	pairBwd []int32
 	runOff  []int32
 	runPair []int32
+
+	// The reducer table the kernel's reduce sink sums from, one entry
+	// per summed bit list of Analyzer.SeqIndex(): entry 2f is FUB f's
+	// sequential bits (Fubs[f].Seq), 2f+1 its analyzable bits
+	// (Fubs[f].Bits), and 2F+i sequential node i's bits (Nodes[i].Bits),
+	// F being the FUB count. Entry e's bits, in the list's vertex order,
+	// are the runs redOff[e] <= k < redOff[e+1] of the table: redLen[k]
+	// consecutive bits resolving to pair redPair[k]. A node's bits
+	// mostly share one pair, so runs are few (XeonLike: 27,088 bits in
+	// 2,413 runs).
+	redOff  []int32
+	redPair []int32
+	redLen  []int32
+	// visitedFrac is the VisitedFraction every Result of the plan reports.
+	visitedFrac float64
 }
 
 // Stats describes a compiled plan's shape.
@@ -130,10 +146,10 @@ func Compile(res *core.Result) (*Plan, error) {
 	return p, nil
 }
 
-// buildPairs fills the unique (fwd, bwd) slot-pair table and its
-// run-length-encoded vertex map. Derived entirely from fwdIdx/bwdIdx, so
-// both Compile and Restore produce identical tables for the same CSR
-// plan.
+// buildPairs fills the unique (fwd, bwd) slot-pair table, its
+// run-length-encoded vertex map and the reducer table. Derived entirely
+// from fwdIdx/bwdIdx and the analyzer's structure, so both Compile and
+// Restore produce identical tables for the same CSR plan.
 func (p *Plan) buildPairs() {
 	n := len(p.fwdIdx)
 	seen := make(map[uint64]int32, 64)
@@ -155,6 +171,49 @@ func (p *Plan) buildPairs() {
 		}
 	}
 	p.runOff = append(p.runOff, int32(n))
+	p.buildReducer()
+}
+
+// buildReducer fills the reducer table from the run-length vertex map.
+func (p *Plan) buildReducer() {
+	vpair := make([]int32, len(p.fwdIdx))
+	for r, pi := range p.runPair {
+		seg := vpair[p.runOff[r]:p.runOff[r+1]]
+		for i := range seg {
+			seg[i] = pi
+		}
+	}
+	idx := p.Analyzer.SeqIndex()
+	lists := make([][]graph.VertexID, 0, 2*len(idx.Fubs)+len(idx.Nodes))
+	for f := range idx.Fubs {
+		lists = append(lists, idx.Fubs[f].Seq, idx.Fubs[f].Bits)
+	}
+	for i := range idx.Nodes {
+		lists = append(lists, idx.Nodes[i].Bits)
+	}
+	p.redOff = make([]int32, len(lists)+1)
+	for e, l := range lists {
+		start := len(p.redPair)
+		for _, v := range l {
+			if pi := vpair[v]; len(p.redPair) > start && p.redPair[len(p.redPair)-1] == pi {
+				p.redLen[len(p.redLen)-1]++
+			} else {
+				p.redPair = append(p.redPair, pi)
+				p.redLen = append(p.redLen, 1)
+			}
+		}
+		p.redOff[e+1] = int32(len(p.redPair))
+	}
+	p.visitedFrac = p.Analyzer.VisitedFraction(p.visited)
+}
+
+// reduceEntries is the number of reducer entries a summary needs: the
+// per-FUB lists, plus the per-node lists when nodes is set.
+func (p *Plan) reduceEntries(nodes bool) int {
+	if nodes {
+		return len(p.redOff) - 1
+	}
+	return 2 * len(p.Analyzer.SeqIndex().Fubs)
 }
 
 // Raw is the plan's CSR subterm table in serializable form. Slices alias

@@ -92,11 +92,31 @@ type Batch struct {
 }
 
 // WorkloadsPerSec returns the batch evaluation throughput.
-func (b *Batch) WorkloadsPerSec() float64 {
-	if b.Elapsed <= 0 {
+func (b *Batch) WorkloadsPerSec() float64 { return perSec(len(b.Results), b.Elapsed) }
+
+// SummaryBatch is the outcome of a reduced sweep (SummarizeContext):
+// per-workload design summaries, and per-node seqAVFs when asked for,
+// index-aligned with the submitted workloads. No per-vertex AVF vector
+// is built for them.
+type SummaryBatch struct {
+	Plan      *Plan
+	Names     []string
+	Summaries []core.Summary
+	// SeqAVF[i] is workload i's Result.SeqAVFByNode; nil without nodes.
+	SeqAVF []map[string]float64
+	// Elapsed covers evaluation and reduction, as Batch.Elapsed does.
+	Elapsed time.Duration
+}
+
+// WorkloadsPerSec returns the batch evaluation throughput.
+func (b *SummaryBatch) WorkloadsPerSec() float64 { return perSec(len(b.Summaries), b.Elapsed) }
+
+// perSec is n workloads over d, or 0 for a non-positive d.
+func perSec(n int, d time.Duration) float64 {
+	if d <= 0 {
 		return 0
 	}
-	return float64(len(b.Results)) / b.Elapsed.Seconds()
+	return float64(n) / d.Seconds()
 }
 
 // Plan returns the compiled plan for res's design: from the in-memory
@@ -186,6 +206,75 @@ func (e *Engine) SweepContext(ctx context.Context, res *core.Result, workloads [
 		return nil, err
 	}
 	n := len(workloads)
+	batch := &Batch{
+		Plan:    plan,
+		Names:   make([]string, n),
+		Results: make([]*core.Result, n),
+	}
+	for i, w := range workloads {
+		batch.Names[i] = w.Name
+	}
+	batch.Elapsed, err = e.evalBlocks(ctx, n, plan.ScratchLen,
+		func(lo, hi int, m *EnvMatrix, scratch []float64) (time.Duration, error) {
+			return plan.evalBlockInto(workloads[lo:hi], m, scratch, batch.Results[lo:hi])
+		})
+	if err != nil {
+		return nil, err
+	}
+	return batch, nil
+}
+
+// SummarizeContext is SweepContext reduced to what a sweep report
+// needs: each workload's Result.Summarize and, with nodes, its
+// SeqAVFByNode, bit-identical to summarizing SweepContext's results but
+// computed by the kernel's reduce sink from the per-pair values, so no
+// per-vertex AVF vector is built. Workers, chunking, cancellation and
+// telemetry are SweepContext's.
+func (e *Engine) SummarizeContext(ctx context.Context, res *core.Result, workloads []Workload, nodes bool) (*SummaryBatch, error) {
+	plan, err := e.PlanContext(ctx, res)
+	if err != nil {
+		return nil, err
+	}
+	n := len(workloads)
+	sb := &SummaryBatch{
+		Plan:      plan,
+		Names:     make([]string, n),
+		Summaries: make([]core.Summary, n),
+	}
+	for i, w := range workloads {
+		sb.Names[i] = w.Name
+	}
+	if nodes {
+		sb.SeqAVF = make([]map[string]float64, n)
+	}
+	scratchLen := func(lanes int) int { return plan.reduceScratchLen(lanes, nodes) }
+	sb.Elapsed, err = e.evalBlocks(ctx, n, scratchLen,
+		func(lo, hi int, m *EnvMatrix, scratch []float64) (time.Duration, error) {
+			var nodeAVF []map[string]float64
+			if nodes {
+				nodeAVF = sb.SeqAVF[lo:hi]
+			}
+			return plan.summarizeBlock(workloads[lo:hi], m, scratch, sb.Summaries[lo:hi], nodeAVF)
+		})
+	if err != nil {
+		return nil, err
+	}
+	return sb, nil
+}
+
+// blockFunc evaluates workloads [lo, hi) of a batch as one kernel block
+// with the calling worker's env matrix and scratch, and returns the
+// time spent in the kernel passes.
+type blockFunc func(lo, hi int, m *EnvMatrix, scratch []float64) (time.Duration, error)
+
+// evalBlocks is the engine's batch loop, shared by every sweep entry
+// point: n workloads are sharded into chunks of whole blocks claimed by
+// a bounded worker pool, each worker reusing one EnvMatrix and one
+// scratch buffer of scratchLen(block) entries across its claims. The
+// first error aborts the batch; a cancelled ctx stops every worker at
+// its next claim. It returns the batch's wall time and feeds the eval
+// span, the kernel histogram and the batch counters and gauges.
+func (e *Engine) evalBlocks(ctx context.Context, n int, scratchLen func(lanes int) int, eval blockFunc) (time.Duration, error) {
 	workers := e.opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -226,26 +315,13 @@ func (e *Engine) SweepContext(ctx context.Context, res *core.Result, workloads [
 	blockHist := e.opts.Obs.FixedHistogram("sweep.block_eval_seconds", obs.LatencyBuckets)
 	start := time.Now()
 
-	batch := &Batch{
-		Plan:    plan,
-		Names:   make([]string, n),
-		Results: make([]*core.Result, n),
-	}
-	for i, w := range workloads {
-		batch.Names[i] = w.Name
-	}
-
 	done := ctx.Done()
 	var next atomic.Int64
-	var blocks atomic.Int64
+	var blocks, kernelNanos atomic.Int64
 	var firstErr atomic.Value // error
 	run := func() {
-		// Per-worker scratch, pooled across every claim the worker makes:
-		// a NumSets x block matrix plus the worker's own EnvMatrix (its
-		// SoA buffer is reused across blocks; the per-lane environments
-		// are fresh because Results adopt them).
 		var m EnvMatrix
-		scratch := make([]float64, plan.ScratchLen(block))
+		scratch := make([]float64, scratchLen(block))
 		for {
 			select {
 			case <-done:
@@ -257,18 +333,15 @@ func (e *Engine) SweepContext(ctx context.Context, res *core.Result, workloads [
 			if lo >= n || firstErr.Load() != nil {
 				return
 			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
+			hi := min(lo+chunk, n)
 			for b := lo; b < hi; b += block {
-				be := min(b+block, hi)
-				bstart := time.Now()
-				if err := plan.EvalBlockInto(workloads[b:be], &m, scratch, batch.Results[b:be]); err != nil {
+				kernel, err := eval(b, min(b+block, hi), &m, scratch)
+				if err != nil {
 					firstErr.CompareAndSwap(nil, err)
 					return
 				}
-				blockHist.Observe(time.Since(bstart).Seconds())
+				blockHist.Observe(kernel.Seconds())
+				kernelNanos.Add(int64(kernel))
 				blocks.Add(1)
 			}
 		}
@@ -286,22 +359,23 @@ func (e *Engine) SweepContext(ctx context.Context, res *core.Result, workloads [
 		}
 		wg.Wait()
 	}
-	batch.Elapsed = time.Since(start)
-	sp.SetAttr("elapsed", batch.Elapsed.String())
+	elapsed := time.Since(start)
+	sp.SetAttr("elapsed", elapsed.String())
 	sp.End()
 	if err, _ := firstErr.Load().(error); err != nil {
 		if ctx.Err() != nil {
 			e.opts.Obs.Counter("sweep.cancelled").Inc()
 		}
-		return nil, err
+		return 0, err
 	}
 	e.opts.Obs.Counter("sweep.workloads").Add(int64(n))
 	e.opts.Obs.Counter("sweep.batches").Inc()
-	e.opts.Obs.Gauge("sweep.workloads_per_sec").Set(batch.WorkloadsPerSec())
+	e.opts.Obs.Gauge("sweep.workloads_per_sec").Set(perSec(n, elapsed))
 	// Kernel telemetry: how many kernel invocations the batch took, and
-	// the kernel throughput.
+	// the workloads per second of kernel time (summed over workers; env
+	// build, result assembly and summary extraction excluded).
 	e.opts.Obs.Counter("sweep.workloads_blocked").Add(int64(n))
 	e.opts.Obs.Counter("sweep.block_evals").Add(blocks.Load())
-	e.opts.Obs.Gauge("sweep.kernel_workloads_per_sec").Set(batch.WorkloadsPerSec())
-	return batch, nil
+	e.opts.Obs.Gauge("sweep.kernel_workloads_per_sec").Set(perSec(n, time.Duration(kernelNanos.Load())))
+	return elapsed, nil
 }
