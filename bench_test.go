@@ -8,6 +8,7 @@ package seqavf_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -27,6 +28,7 @@ import (
 	"seqavf/internal/obs"
 	"seqavf/internal/pavf"
 	"seqavf/internal/ser"
+	"seqavf/internal/server"
 	"seqavf/internal/sfi"
 	"seqavf/internal/stats"
 	"seqavf/internal/sweep"
@@ -721,6 +723,64 @@ func BenchmarkSweepSummaries(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "workloads/sec")
+		})
+	}
+}
+
+// BenchmarkSweepReply measures writing a sweep-nodes reply, with the
+// collector on: 64 jittered XeonLike workloads summarized with nodes
+// (666 sequential nodes each), then written either as the server wrote
+// it before the streamed appender — each node row keyed into a map and
+// the SweepResponse indented by encoding/json — or by
+// server.WriteSweepResponse, whose bytes are the same (internal/server's
+// byte-identity tests). Both write to io.Discard.
+func BenchmarkSweepReply(b *testing.B) {
+	e := env(b)
+	res, err := e.Analyzer.Solve(e.AvgInputs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 64
+	batch, err := sweep.New(sweep.Options{}).SummarizeContext(context.Background(), res, xeonWorkloads(e, n), true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nodes := batch.Plan.Analyzer.SeqIndex().Nodes
+	for _, bc := range []struct {
+		name  string
+		write func() error
+	}{
+		{"EncodingJSON", func() error {
+			resp := server.SweepResponse{
+				Design:    "XeonLike",
+				Workloads: n,
+				Plan:      batch.Plan.Stats(),
+				ElapsedMS: float64(batch.Elapsed.Microseconds()) / 1e3,
+				PerSec:    batch.WorkloadsPerSec(),
+				Results:   make([]server.WorkloadResult, n),
+			}
+			for i, s := range batch.Summaries {
+				m := make(map[string]float64, len(nodes))
+				for j, v := range batch.SeqAVF[i] {
+					m[nodes[j].Key] = v
+				}
+				resp.Results[i] = server.WorkloadResult{Name: batch.Names[i], Summary: s, SeqAVF: m}
+			}
+			enc := json.NewEncoder(io.Discard)
+			enc.SetIndent("", "  ")
+			return enc.Encode(resp)
+		}},
+		{"Appender", func() error {
+			return server.WriteSweepResponse(io.Discard, "XeonLike", batch)
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.write(); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -32,9 +32,9 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"seqavf/cmd/internal/cliutil"
@@ -182,13 +182,14 @@ func run(reg *obs.Registry, arts *cliutil.Artifacts, nlPath, dir, glob string, w
 		return err
 	}
 
-	rep := server.NewSweepResponse(d.Name, batch)
-	if err := emitReport(out, rep); err != nil {
+	err = emitReport(out, func(w io.Writer) error { return server.WriteSweepResponse(w, d.Name, batch) })
+	if err != nil {
 		return err
 	}
 	if out != "" {
+		st := batch.Plan.Stats()
 		fmt.Fprintf(os.Stderr, "sweeprun: %d workloads, %d unique subterms for %d equations, %.0f workloads/sec -> %s\n",
-			rep.Workloads, rep.Plan.UniqueSets, rep.Plan.Vertices, rep.PerSec, out)
+			len(batch.Summaries), st.UniqueSets, st.Vertices, batch.WorkloadsPerSec(), out)
 	}
 	return nil
 }
@@ -211,20 +212,20 @@ func runIntervals(ctx context.Context, eng *sweep.Engine, res *core.Result, desi
 	if err != nil {
 		return err
 	}
-	rep := server.NewIntervalSweepResponse(design, batch, nodes)
-	if err := emitReport(out, rep); err != nil {
+	err = emitReport(out, func(w io.Writer) error { return server.WriteIntervalSweepResponse(w, design, batch, nodes) })
+	if err != nil {
 		return err
 	}
 	if out != "" {
 		fmt.Fprintf(os.Stderr, "sweeprun: %d workloads, %d windows evaluated -> %s\n",
-			rep.Workloads, rep.WindowsEvaluated, out)
+			len(batch.Workloads), batch.WindowsEvaluated, out)
 	}
 	return nil
 }
 
-// emitReport writes v as indented JSON to path, or to stdout when path
-// is empty.
-func emitReport(path string, v any) error {
+// emitReport writes a report through write to path, or to stdout when
+// path is empty.
+func emitReport(path string, write func(io.Writer) error) error {
 	w := os.Stdout
 	if path != "" {
 		g, err := os.Create(path)
@@ -235,9 +236,7 @@ func emitReport(path string, v any) error {
 		w = g
 	}
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := write(bw); err != nil {
 		return err
 	}
 	return bw.Flush()

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -23,9 +24,10 @@ import (
 )
 
 // TestSweeprunMatchesService: for the same design and tables, sweeprun
-// -nodes reports the POST /v1/sweep body (nodes: true), and sweeprun
-// -windows -nodes the POST /v1/sweep/intervals body, timing aside. The
-// CLI runs with -pseudo 1, the service's solve options.
+// reports the POST /v1/sweep body, and sweeprun -windows the POST
+// /v1/sweep/intervals body, byte for byte once the timing lines are
+// removed — with -nodes (nodes: true) and without. The CLI runs with
+// -pseudo 1, the service's solve options.
 func TestSweeprunMatchesService(t *testing.T) {
 	dir := t.TempDir()
 	cfg := design.DefaultConfig(7)
@@ -118,18 +120,22 @@ func TestSweeprunMatchesService(t *testing.T) {
 	}
 	post("/v1/designs", nl.Bytes())
 
+	plainSweep, plainIv := sweepReq, ivReq
+	plainSweep.Nodes, plainIv.Nodes = false, false
 	for _, tc := range []struct {
 		name, glob, path string
-		windows          bool
+		windows, nodes   bool
 		req              any
 	}{
-		{"sweep", "*.pavf", "/v1/sweep", false, sweepReq},
-		{"intervals", "*.ipavf", "/v1/sweep/intervals", true, ivReq},
+		{"sweep", "*.pavf", "/v1/sweep", false, true, sweepReq},
+		{"intervals", "*.ipavf", "/v1/sweep/intervals", true, true, ivReq},
+		{"sweep-plain", "*.pavf", "/v1/sweep", false, false, plainSweep},
+		{"intervals-plain", "*.ipavf", "/v1/sweep/intervals", true, false, plainIv},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := post(tc.path, tc.req)
 			out := filepath.Join(dir, tc.name+".json")
-			if err := run(obs.New(), &cliutil.Artifacts{}, nlPath, dir, tc.glob, 1, 0, 0.3, 1.0, true, tc.windows, out); err != nil {
+			if err := run(obs.New(), &cliutil.Artifacts{}, nlPath, dir, tc.glob, 1, 0, 0.3, 1.0, tc.nodes, tc.windows, out); err != nil {
 				t.Fatalf("run: %v", err)
 			}
 			got, err := os.ReadFile(out)
@@ -139,12 +145,18 @@ func TestSweeprunMatchesService(t *testing.T) {
 			if g, w := untimed(t, got), untimed(t, want); !reflect.DeepEqual(g, w) {
 				t.Errorf("sweeprun report differs from POST %s:\ncli:     %s\nservice: %s", tc.path, got, want)
 			}
-			if !bytes.Contains(got, []byte(`"seqavf"`)) {
-				t.Errorf("sweeprun -nodes report carries no per-node seqavf: %s", got)
+			if g, w := timing.ReplaceAll(got, nil), timing.ReplaceAll(want, nil); !bytes.Equal(g, w) {
+				t.Errorf("sweeprun report bytes differ from POST %s, timing aside:\ncli:     %s\nservice: %s", tc.path, g, w)
+			}
+			if bytes.Contains(got, []byte(`"seqavf"`)) != tc.nodes {
+				t.Errorf("sweeprun report with nodes=%v: per-node seqavf present %v: %s", tc.nodes, !tc.nodes, got)
 			}
 		})
 	}
 }
+
+// timing matches the wall-clock lines of an indented report.
+var timing = regexp.MustCompile(`(?m)^  "(eval_elapsed_ms|workloads_per_sec)": [^\n]*\n`)
 
 // untimed decodes a JSON report and drops its wall-clock fields.
 func untimed(t *testing.T, data []byte) map[string]any {

@@ -111,8 +111,10 @@ func TestStoredPlanSummariesBitIdentity(t *testing.T) {
 			if len(sb.SeqAVF[i]) != len(want) {
 				t.Fatalf("seed %d workload %d: %d node seqAVFs, want %d", seed, i, len(sb.SeqAVF[i]), len(want))
 			}
+			x := sb.Plan.Analyzer.SeqIndex()
 			for key, v := range want {
-				if got, ok := sb.SeqAVF[i][key]; !ok || got != v {
+				j, ok := x.ByKey[key]
+				if got := sb.SeqAVF[i][j]; !ok || got != v {
 					t.Fatalf("seed %d workload %d node %s: %v (present %v), want %v", seed, i, key, got, ok, v)
 				}
 			}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"slices"
+	"strings"
+
 	"seqavf/internal/graph"
 	"seqavf/internal/netlist"
 )
@@ -41,6 +44,9 @@ type SeqIndex struct {
 	Nodes []SeqNode
 	// ByKey maps a node's Key to its position in Nodes.
 	ByKey map[string]int
+	// Sorted lists the positions in Nodes ordered by Key, byte-wise:
+	// the order encoding/json writes a map keyed by node.
+	Sorted []int
 	// Fubs holds each FUB's statistics bits, in FUB declaration order.
 	Fubs []FubBits
 }
@@ -107,6 +113,11 @@ func (a *Analyzer) SeqIndex() *SeqIndex {
 			}
 			x.Nodes[ni].Bits = append(x.Nodes[ni].Bits, id)
 		}
+		x.Sorted = make([]int, len(x.Nodes))
+		for i := range x.Sorted {
+			x.Sorted[i] = i
+		}
+		slices.SortFunc(x.Sorted, func(i, j int) int { return strings.Compare(x.Nodes[i].Key, x.Nodes[j].Key) })
 		a.seqIndex = x
 	})
 	return a.seqIndex

@@ -210,9 +210,10 @@ func TestSeqIndexMatchesVertexWalk(t *testing.T) {
 		if len(series) != len(keys) {
 			t.Fatalf("%s: NodeSeries has %d nodes, walk %d", ctxt, len(series), len(keys))
 		}
+		x := a.SeqIndex()
 		for w, r := range ir.Results {
 			for k, v := range walkSeqAVFByNode(r) {
-				if s := series[k]; len(s) != len(ir.Results) || !sameBits(s[w], v) {
+				if s := series[x.ByKey[k]]; len(s) != len(ir.Results) || !sameBits(s[w], v) {
 					t.Fatalf("%s: NodeSeries[%s] = %v, window %d walk %v", ctxt, k, s, w, v)
 				}
 			}

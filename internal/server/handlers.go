@@ -40,8 +40,8 @@ type SweepWorkload struct {
 
 // SweepResponse is the body of a POST /v1/sweep answer and of
 // cmd/sweeprun's report: plan statistics plus per-workload design
-// summaries, index-aligned with the request. NewSweepResponse is its one
-// producer.
+// summaries, index-aligned with the request. It is the wire schema
+// clients decode; WriteSweepResponse writes its bytes.
 type SweepResponse struct {
 	Design    string           `json:"design"`
 	Workloads int              `json:"workloads"`
@@ -56,28 +56,6 @@ type WorkloadResult struct {
 	Name    string             `json:"name"`
 	Summary core.Summary       `json:"summary"`
 	SeqAVF  map[string]float64 `json:"seqavf,omitempty"`
-}
-
-// NewSweepResponse reports a summarized batch: every workload's design
-// summary and, when the batch was summarized with nodes, its
-// per-sequential-node seqAVFs.
-func NewSweepResponse(design string, batch *sweep.SummaryBatch) SweepResponse {
-	resp := SweepResponse{
-		Design:    design,
-		Workloads: len(batch.Summaries),
-		Plan:      batch.Plan.Stats(),
-		ElapsedMS: float64(batch.Elapsed.Microseconds()) / 1e3,
-		PerSec:    batch.WorkloadsPerSec(),
-		Results:   make([]WorkloadResult, len(batch.Summaries)),
-	}
-	for i, s := range batch.Summaries {
-		wr := WorkloadResult{Name: batch.Names[i], Summary: s}
-		if batch.SeqAVF != nil {
-			wr.SeqAVF = batch.SeqAVF[i]
-		}
-		resp.Results[i] = wr
-	}
-	return resp
 }
 
 // DesignInfo describes one registered design on GET /v1/designs.
@@ -166,6 +144,8 @@ func (s *Server) finishRequest(sp *obs.Span, start time.Time, rec obs.RequestRec
 			}
 		case "sweep.eval":
 			rec.EvalSeconds += d
+		case "encode":
+			rec.EncodeSeconds += d
 		case "solve", "artifact.restore":
 			// Upload solves and restores count as the plan stage: they
 			// are the "how do I get evaluable closed forms" phase.
@@ -342,7 +322,11 @@ func (s *Server) decodeSweep(_ *http.Request, body io.Reader) (*call, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		return d, NewSweepResponse(d.Name, batch), nil
+		reply := sweepReply{design: d.Name, batch: batch}
+		if req.Nodes {
+			reply.keys = d.nodeKeys()
+		}
+		return d, reply, nil
 	}
 	return &call{design: req.Design, workloads: len(ws), validate: validate, run: run}, nil
 }

@@ -40,8 +40,8 @@ type IntervalSweepWorkload struct {
 
 // IntervalSweepResponse reports the time-resolved sweep: plan
 // statistics plus per-workload AVF time series, index-aligned with the
-// request. It is also cmd/sweeprun's -windows report;
-// NewIntervalSweepResponse is its one producer.
+// request. It is also cmd/sweeprun's -windows report. It is the wire
+// schema clients decode; WriteIntervalSweepResponse writes its bytes.
 type IntervalSweepResponse struct {
 	Design           string                   `json:"design"`
 	Workloads        int                      `json:"workloads"`
@@ -70,39 +70,6 @@ type IntervalWorkloadResult struct {
 	PeakChipAVF      float64              `json:"peak_chip_avf"`
 	PeakToMean       float64              `json:"peak_to_mean"`
 	SeqAVF           map[string][]float64 `json:"seqavf,omitempty"`
-}
-
-// NewIntervalSweepResponse reports an evaluated interval batch: every
-// workload's window geometry, chip-AVF series and peak statistics and,
-// with nodes, its per-sequential-node series.
-func NewIntervalSweepResponse(design string, batch *sweep.IntervalBatch, nodes bool) IntervalSweepResponse {
-	resp := IntervalSweepResponse{
-		Design:           design,
-		Workloads:        len(batch.Workloads),
-		WindowsEvaluated: batch.WindowsEvaluated,
-		Plan:             batch.Plan.Stats(),
-		ElapsedMS:        float64(batch.Elapsed.Microseconds()) / 1e3,
-		Results:          make([]IntervalWorkloadResult, len(batch.Workloads)),
-	}
-	for i, iw := range batch.Workloads {
-		wr := IntervalWorkloadResult{
-			Name:             iw.Name,
-			Windows:          make([]IntervalWindowInfo, len(iw.Windows)),
-			ChipAVF:          iw.Summary.ChipAVF,
-			TimeWeightedMean: iw.Summary.TimeWeightedMean,
-			PeakWindow:       iw.Summary.PeakWindow,
-			PeakChipAVF:      iw.Summary.PeakChipAVF,
-			PeakToMean:       iw.Summary.PeakToMean,
-		}
-		for wi, span := range iw.Windows {
-			wr.Windows[wi] = IntervalWindowInfo{Start: span.Start, End: span.End}
-		}
-		if nodes {
-			wr.SeqAVF = iw.NodeSeries()
-		}
-		resp.Results[i] = wr
-	}
-	return resp
 }
 
 // decodeIntervals decodes a POST /v1/sweep/intervals envelope.
@@ -148,7 +115,11 @@ func (s *Server) decodeIntervals(_ *http.Request, body io.Reader) (*call, error)
 		if err != nil {
 			return nil, nil, err
 		}
-		return d, NewIntervalSweepResponse(d.Name, batch, req.Nodes), nil
+		var keys *nodeKeys
+		if req.Nodes {
+			keys = d.nodeKeys()
+		}
+		return d, newIntervalReply(d.Name, batch, keys), nil
 	}
 	return &call{design: req.Design, workloads: len(ws), validate: validate, run: run}, nil
 }

@@ -62,8 +62,14 @@ func (s *Server) serve(rt route) http.HandlerFunc {
 		start := time.Now()
 		rec := obs.RequestRecord{Endpoint: rt.endpoint, Status: rt.status, Outcome: "ok"}
 		defer func() { s.finishRequest(sp, start, rec) }()
+		// Every reply write is the request's encode stage.
+		encode := func(write func()) {
+			esp := sp.Child("encode")
+			write()
+			esp.End()
+		}
 		fail := func(status int, err error) {
-			rec.Status, rec.Outcome = httpx.WriteError(w, s.errs, status, err)
+			encode(func() { rec.Status, rec.Outcome = httpx.WriteError(w, s.errs, status, err) })
 		}
 
 		// Ingest stage: everything before admission.
@@ -81,8 +87,10 @@ func (s *Server) serve(rt route) http.HandlerFunc {
 			s.busy.Inc()
 			rec.Status, rec.Outcome = http.StatusTooManyRequests, "busy"
 			w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-			httpx.WriteJSON(w, http.StatusTooManyRequests, map[string]string{
-				"error": "server at concurrency limit, retry later",
+			encode(func() {
+				httpx.WriteJSON(w, http.StatusTooManyRequests, map[string]string{
+					"error": "server at concurrency limit, retry later",
+				})
 			})
 			return
 		}
@@ -103,9 +111,25 @@ func (s *Server) serve(rt route) http.HandlerFunc {
 		default:
 			rec.Design, rec.Fingerprint = out.Name, out.fingerprint()
 			rt.ok.Inc()
-			httpx.WriteJSON(w, rt.status, resp)
+			encode(func() { writeReply(w, rt.status, resp) })
 		}
 	}
+}
+
+// writeReply writes a success body: a streamedReply writes itself, and
+// any other value goes through httpx.WriteJSON. Neither flushes, so
+// net/http still frames a small reply with a Content-Length.
+func writeReply(w http.ResponseWriter, status int, resp any) {
+	r, ok := resp.(streamedReply)
+	if !ok {
+		httpx.WriteJSON(w, status, resp)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	// The status is out: a failed write can only be cut short, as
+	// WriteJSON's can.
+	_ = r.writeJSON(w)
 }
 
 // ingest decodes the envelope, resolves the named design and validates

@@ -94,6 +94,11 @@ type Design struct {
 	Plan     sweep.Stats
 	Vertices int
 	SeqBits  int
+
+	// keys are the quoted node keys of nodes:true replies, built on the
+	// first one so that registering a design does no encoding work.
+	keysOnce sync.Once
+	keys     *nodeKeys
 }
 
 // Server serves workload sweeps over solved designs. Create with New,
@@ -222,6 +227,12 @@ func (s *Server) register(name string, res *core.Result, replace bool) (*Design,
 // info is the design's GET /v1/designs row.
 func (d *Design) info() DesignInfo {
 	return DesignInfo{Name: d.Name, Vertices: d.Vertices, SeqBits: d.SeqBits, Plan: d.Plan}
+}
+
+// nodeKeys returns the design's quoted sequential-node keys.
+func (d *Design) nodeKeys() *nodeKeys {
+	d.keysOnce.Do(func() { d.keys = newNodeKeys(d.Result.Analyzer.SeqIndex()) })
+	return d.keys
 }
 
 // fingerprint renders the design's analyzer fingerprint for the flight

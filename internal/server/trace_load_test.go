@@ -88,6 +88,39 @@ func TestTraceparentFlightRecorder(t *testing.T) {
 	}
 }
 
+// TestFlightRecordNamesEncode: a nodes:true sweep's flight record
+// times the reply write as its encode stage, and the named stages fit
+// inside the request's wall time.
+func TestFlightRecordNamesEncode(t *testing.T) {
+	s, _, results := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var req SweepRequest
+	if err := json.Unmarshal(sweepBody(t, "alpha", results["alpha"], 8, 900), &req); err != nil {
+		t.Fatal(err)
+	}
+	req.Nodes = true
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, out := postJSON(t, http.DefaultClient, ts.URL+"/v1/sweep", body)
+	if resp.StatusCode != http.StatusOK || !bytes.Contains(out, []byte(`"seqavf"`)) {
+		t.Fatalf("sweep: %d %s", resp.StatusCode, out)
+	}
+	// The record lands when the handler returns, which can be just
+	// after the client has read the whole body.
+	waitForCount(t, "flight record", func() bool { return s.flight.Len() == 1 })
+	rec := s.flight.Snapshot()[0]
+	if rec.EncodeSeconds <= 0 {
+		t.Fatalf("encode_seconds = %v, want > 0", rec.EncodeSeconds)
+	}
+	if named := rec.IngestSeconds + rec.PlanSeconds + rec.EvalSeconds + rec.EncodeSeconds; named > rec.DurationSeconds {
+		t.Fatalf("named stages %v (ingest %v, plan %v, eval %v, encode %v) exceed the request's %v",
+			named, rec.IngestSeconds, rec.PlanSeconds, rec.EvalSeconds, rec.EncodeSeconds, rec.DurationSeconds)
+	}
+}
+
 // TestUntracedRequestGetsFreshTrace: without a traceparent the server
 // must mint a trace and still record the request.
 func TestUntracedRequestGetsFreshTrace(t *testing.T) {

@@ -357,12 +357,13 @@ func (p *Plan) evalBlockInto(ws []Workload, m *EnvMatrix, scratch []float64, dst
 }
 
 // summarizeBlock evaluates one block of workloads straight to their
-// summaries — and, when nodeAVF is non-nil, their per-node seqAVFs —
-// through the reduce sink, without per-vertex vectors. sums and nodeAVF
-// are index-aligned with ws; scratch must hold reduceScratchLen. Every
-// value is bit-identical to EvalBlockInto's Result.Summarize and
-// SeqAVFByNode. It returns the time spent in the kernel passes.
-func (p *Plan) summarizeBlock(ws []Workload, m *EnvMatrix, scratch []float64, sums []core.Summary, nodeAVF []map[string]float64) (time.Duration, error) {
+// summaries — and, when nodeAVF is non-nil, their per-node seqAVFs,
+// filling rows in SeqIndex().Nodes order — through the reduce sink,
+// without per-vertex vectors. sums and nodeAVF are index-aligned with
+// ws; scratch must hold reduceScratchLen. Every value is bit-identical
+// to EvalBlockInto's Result.Summarize and SeqAVFByNode. It returns the
+// time spent in the kernel passes.
+func (p *Plan) summarizeBlock(ws []Workload, m *EnvMatrix, scratch []float64, sums []core.Summary, nodeAVF [][]float64) (time.Duration, error) {
 	if err := m.Reset(p.Analyzer, ws); err != nil {
 		return 0, err
 	}
@@ -374,7 +375,8 @@ func (p *Plan) summarizeBlock(ws []Workload, m *EnvMatrix, scratch []float64, su
 	p.reduce(p.pairValues(m, scratch), lanes, entries, acc)
 	kernel := time.Since(start)
 	a := p.Analyzer
-	nodeBase := 2 * len(a.SeqIndex().Fubs) * lanes
+	idx := a.SeqIndex()
+	nodeBase := 2 * len(idx.Fubs) * lanes
 	for w := range ws {
 		s := a.SummarizeSums(func(f int) (seq, node float64) {
 			return acc[2*f*lanes+w], acc[(2*f+1)*lanes+w]
@@ -382,7 +384,10 @@ func (p *Plan) summarizeBlock(ws []Workload, m *EnvMatrix, scratch []float64, su
 		s.VisitedFraction, s.Iterations, s.Converged = p.visitedFrac, 1, true
 		sums[w] = s
 		if nodeAVF != nil {
-			nodeAVF[w] = a.SeqAVFFromSums(func(i int) float64 { return acc[nodeBase+i*lanes+w] })
+			row := nodeAVF[w]
+			for i := range idx.Nodes {
+				row[i] = idx.Nodes[i].Mean(acc[nodeBase+i*lanes+w])
+			}
 		}
 	}
 	return kernel, nil

@@ -88,23 +88,24 @@ type IntervalResult struct {
 	Summary IntervalSummary
 }
 
-// NodeSeries returns each sequential node's AVF time series, keyed
-// "fub/node": one value per window, in window order. Window w's value
-// is bit-identical to Results[w].SeqAVFByNode()[key].
-func (r *IntervalResult) NodeSeries() map[string][]float64 {
+// NodeSeries returns each sequential node's AVF time series, in
+// SeqIndex().Nodes order: series[i] holds node i's value per window, in
+// window order. Window w's value is bit-identical to
+// Results[w].SeqAVFByNode()[Nodes[i].Key].
+func (r *IntervalResult) NodeSeries() [][]float64 {
 	if len(r.Results) == 0 {
 		return nil
 	}
 	nodes := r.Results[0].Analyzer.SeqIndex().Nodes
 	nw := len(r.Results)
 	buf := make([]float64, len(nodes)*nw)
-	out := make(map[string][]float64, len(nodes))
+	out := make([][]float64, len(nodes))
 	for i := range nodes {
 		series := buf[i*nw : (i+1)*nw : (i+1)*nw]
 		for w, res := range r.Results {
 			series[w] = nodes[i].MeanAVF(res.AVF)
 		}
-		out[nodes[i].Key] = series
+		out[i] = series
 	}
 	return out
 }

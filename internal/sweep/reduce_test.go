@@ -40,8 +40,10 @@ func requireSummariesMatch(t *testing.T, label string, got *SummaryBatch, want *
 		if len(got.SeqAVF[i]) != len(ref) {
 			t.Fatalf("%s: workload %d has %d node seqAVFs, want %d", label, i, len(got.SeqAVF[i]), len(ref))
 		}
+		x := got.Plan.Analyzer.SeqIndex()
 		for key, v := range ref {
-			if g, ok := got.SeqAVF[i][key]; !ok || g != v {
+			j, ok := x.ByKey[key]
+			if g := got.SeqAVF[i][j]; !ok || g != v {
 				t.Fatalf("%s: workload %d node %s seqAVF %v (present %v), want %v", label, i, key, g, ok, v)
 			}
 		}

@@ -102,8 +102,10 @@ type SummaryBatch struct {
 	Plan      *Plan
 	Names     []string
 	Summaries []core.Summary
-	// SeqAVF[i] is workload i's Result.SeqAVFByNode; nil without nodes.
-	SeqAVF []map[string]float64
+	// SeqAVF[i] is workload i's Result.SeqAVFByNode as a dense row:
+	// SeqAVF[i][j] is the seqAVF of Plan.Analyzer.SeqIndex().Nodes[j].
+	// nil without nodes.
+	SeqAVF [][]float64
 	// Elapsed covers evaluation and reduction, as Batch.Elapsed does.
 	Elapsed time.Duration
 }
@@ -245,12 +247,17 @@ func (e *Engine) SummarizeContext(ctx context.Context, res *core.Result, workloa
 		sb.Names[i] = w.Name
 	}
 	if nodes {
-		sb.SeqAVF = make([]map[string]float64, n)
+		nn := len(plan.Analyzer.SeqIndex().Nodes)
+		buf := make([]float64, n*nn)
+		sb.SeqAVF = make([][]float64, n)
+		for i := range sb.SeqAVF {
+			sb.SeqAVF[i] = buf[i*nn : (i+1)*nn : (i+1)*nn]
+		}
 	}
 	scratchLen := func(lanes int) int { return plan.reduceScratchLen(lanes, nodes) }
 	sb.Elapsed, err = e.evalBlocks(ctx, n, scratchLen,
 		func(lo, hi int, m *EnvMatrix, scratch []float64) (time.Duration, error) {
-			var nodeAVF []map[string]float64
+			var nodeAVF [][]float64
 			if nodes {
 				nodeAVF = sb.SeqAVF[lo:hi]
 			}
